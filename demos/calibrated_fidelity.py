@@ -29,7 +29,7 @@ from photonfusion.experiment import CoincidenceHistogram
 PAIR_PROBABILITY = 0.058
 EFFICIENCY = 0.265
 
-# Invert visibility 0.94 (synthesizer) and 0.76 (fusion) by bisection.
+# Invert visibility 0.94 (synthesizer) and 0.76 (fusion) in closed form.
 overlaps = calibrate_overlaps(
     pair_probability=PAIR_PROBABILITY,
     efficiency=EFFICIENCY,

@@ -46,7 +46,6 @@ from .sources import (
     TAG_BROAD,
     TAG_NARROW,
     PdcSource,
-    emission_sector,
     source_ensemble,
     source_mode_labels,
 )
@@ -309,44 +308,17 @@ def _arm_groups(registry, output_arms):
     return tuple(groups)
 
 
-def _calibrate_compensator(topology, plain_registry, fusion_elements, output_arms):
+def _compensator_phase(topology: FusionTopology) -> float:
     """Phase that realigns the all-V fused amplitude with the all-H one.
 
-    Probes with one ideal pair per source and reads the two post-selected
-    amplitudes; the compensator plate on the first arm's V modes then
-    cancels the splitter reflection phases.
+    Exact from the wiring alone: every source emits HH and VV in phase,
+    a polarizing splitter passes H untouched and reflects V with phase i,
+    and in the one-photon-per-arm all-V term each splitter reflects one V
+    photon from each of its two arms. So the all-V amplitude trails the
+    all-H one by (-1)^(number of fusions); the compensator plate on the
+    first arm's V modes cancels that.
     """
-    probe = None
-    for arm_a, arm_b in topology.sources:
-        src = PdcSource(arm_a=arm_a, arm_b=arm_b, pair_amplitude=0.2, truncation_pairs=1)
-        piece = emission_sector(src, 1)
-        own = {arm_a: TAG_NARROW, arm_b: TAG_BROAD}
-        local = registry_from(
-            [ModeLabel(arm, pol, "") for arm in (arm_a, arm_b) for pol in ("H", "V")]
-        )
-        piece = map_modes(
-            piece,
-            local,
-            lambda lab: ModeLabel(lab.arm, lab.pol, "")
-            if lab.tag == own.get(lab.arm)
-            else None,
-        )
-        probe = piece if probe is None else tensor_product(probe, piece)
-    probe = map_modes(probe, plain_registry, lambda lab: lab)
-    for el in fusion_elements:
-        probe = apply_element(probe, el)
-    width = len(plain_registry)
-    all_h = [0] * width
-    all_v = [0] * width
-    for arm in output_arms:
-        all_h[plain_registry.index(ModeLabel(arm, "H", ""))] = 1
-        all_v[plain_registry.index(ModeLabel(arm, "V", ""))] = 1
-    amp_h = probe.terms.get(tuple(all_h), 0j)
-    amp_v = probe.terms.get(tuple(all_v), 0j)
-    if abs(amp_h) < 1e-12 or abs(amp_v) < 1e-12:
-        return 0.0
-    phase = math.atan2(amp_h.imag, amp_h.real) - math.atan2(amp_v.imag, amp_v.real)
-    return phase % (2 * math.pi)
+    return math.pi if len(topology.fusion_edges) % 2 else 0.0
 
 
 def assemble_apparatus(
@@ -399,7 +371,7 @@ def assemble_apparatus(
     )
     fusion_elements = _fusion_elements(plain_registry, topology.fusion_edges, ("",))
     marked_fusion = _fusion_elements(marked_registry, topology.fusion_edges, marks)
-    phase = _calibrate_compensator(topology, plain_registry, fusion_elements, output_arms)
+    phase = _compensator_phase(topology)
     first_arm = output_arms[0]
     return Apparatus(
         topology=topology,
@@ -509,19 +481,15 @@ def _relabel_to(apparatus: Apparatus, state: AmplitudeState, marked: bool):
     return map_modes(state, registry, relabel)
 
 
-def _member_states(apparatus: Apparatus):
-    """Yield (weight, state, marked?) members after fusion and compensation.
+def _members_for_pattern(apparatus: Apparatus, counts):
+    """Yield (weight, state, marked?) members of one emission pattern after
+    fusion and compensation.
 
     The weight of a member is the product of its per-source ensemble
     weights and the fusion-branch weight; states are unnormalized, so a
     member's accepted probability is weight times the detection value of
     its amplitudes.
     """
-    for counts in _emission_patterns(apparatus):
-        yield from _members_for_pattern(apparatus, counts)
-
-
-def _members_for_pattern(apparatus: Apparatus, counts):
     gamma_f = apparatus.fusion_overlap
     cap = 2 * apparatus.truncation_pairs
     per_source = [
@@ -607,6 +575,28 @@ def _detection_vector(state, weight, groups, xi, vector):
         vector += vec
 
 
+def _pattern_vector(apparatus: Apparatus, members, setting: MeasurementSetting):
+    """Per-pulse probabilities of the 2^n accepted patterns, summed over a
+    stream of (weight, state, marked?) members, first arm slowest."""
+    registries = {False: apparatus.plain_registry, True: apparatus.marked_registry}
+    groups = {m: _arm_groups(reg, apparatus.output_arms) for m, reg in registries.items()}
+    analyzers = {
+        m: _analyzer_elements(reg, apparatus.output_arms, setting)
+        for m, reg in registries.items()
+    }
+    vector = np.zeros(2**apparatus.n_arms)
+    for weight, state, marked in members:
+        state = _coincidence_support(state, groups[marked])
+        if not state.terms:
+            continue
+        for el in analyzers[marked]:
+            state = apply_element(state, el)
+        _detection_vector(
+            state, weight, groups[marked], apparatus.detector_efficiency, vector
+        )
+    return vector
+
+
 def absolute_outcome_distribution(
     apparatus: Apparatus, setting: MeasurementSetting
 ) -> dict:
@@ -623,23 +613,10 @@ def absolute_outcome_distribution(
     cached = apparatus._distribution_cache.get(key)
     if cached is not None:
         return dict(cached)
-    groups = {
-        False: _arm_groups(apparatus.plain_registry, apparatus.output_arms),
-        True: _arm_groups(apparatus.marked_registry, apparatus.output_arms),
-    }
-    analyzers = {
-        False: _analyzer_elements(apparatus.plain_registry, apparatus.output_arms, setting),
-        True: _analyzer_elements(apparatus.marked_registry, apparatus.output_arms, setting),
-    }
-    xi = apparatus.detector_efficiency
-    vector = np.zeros(2**apparatus.n_arms)
-    for weight, state, marked in _member_states(apparatus):
-        state = _coincidence_support(state, groups[marked])
-        if not state.terms:
-            continue
-        for el in analyzers[marked]:
-            state = apply_element(state, el)
-        _detection_vector(state, weight, groups[marked], xi, vector)
+    members = itertools.chain.from_iterable(
+        _members_for_pattern(apparatus, counts) for counts in _emission_patterns(apparatus)
+    )
+    vector = _pattern_vector(apparatus, members, setting)
     patterns = all_detection_patterns(apparatus.n_arms, setting.symbols)
     result = {pat: float(v) for pat, v in zip(patterns, vector)}
     apparatus._distribution_cache[key] = result
@@ -670,17 +647,8 @@ def emission_pattern_probability(apparatus: Apparatus, pairs_per_source) -> floa
         raise ValueError("negative pair count")
     if sum(counts) > apparatus.truncation_pairs:
         raise ValueError("pattern exceeds the pair truncation")
-    groups = {
-        False: _arm_groups(apparatus.plain_registry, apparatus.output_arms),
-        True: _arm_groups(apparatus.marked_registry, apparatus.output_arms),
-    }
-    xi = apparatus.detector_efficiency
-    vector = np.zeros(2**apparatus.n_arms)
-    for weight, state, marked in _members_for_pattern(apparatus, counts):
-        state = _coincidence_support(state, groups[marked])
-        if state.terms:
-            _detection_vector(state, weight, groups[marked], xi, vector)
-    return float(vector.sum())
+    members = _members_for_pattern(apparatus, counts)
+    return float(_pattern_vector(apparatus, members, hv_setting()).sum())
 
 
 # ---- Overlap calibration ----
@@ -699,6 +667,29 @@ def parity_visibility(apparatus: Apparatus) -> float:
     return sum(((-1) ** pat.count("-")) * p for pat, p in dist.items())
 
 
+def _synthesizer_apparatus(overlap, pair_probability, efficiency, truncation_pairs):
+    return assemble_apparatus(
+        single_source_topology(),
+        pair_probability=pair_probability,
+        synthesizer_overlap=overlap,
+        detector_efficiency=efficiency,
+        truncation_pairs=truncation_pairs,
+    )
+
+
+def _fusion_apparatus(
+    fusion_overlap, synthesizer_overlap, pair_probability, efficiency, truncation_pairs
+):
+    return assemble_apparatus(
+        star_topology(2),
+        pair_probability=pair_probability,
+        synthesizer_overlap=synthesizer_overlap,
+        fusion_overlap=fusion_overlap,
+        detector_efficiency=efficiency,
+        truncation_pairs=truncation_pairs,
+    )
+
+
 def synthesizer_visibility(
     overlap: float,
     *,
@@ -711,14 +702,9 @@ def synthesizer_visibility(
     Includes multi-pair dilution, so the result sits below the intrinsic
     overlap whenever truncation_pairs > 1.
     """
-    app = assemble_apparatus(
-        single_source_topology(),
-        pair_probability=pair_probability,
-        synthesizer_overlap=overlap,
-        detector_efficiency=efficiency,
-        truncation_pairs=truncation_pairs,
+    return parity_visibility(
+        _synthesizer_apparatus(overlap, pair_probability, efficiency, truncation_pairs)
     )
-    return parity_visibility(app)
 
 
 def fusion_visibility(
@@ -732,30 +718,27 @@ def fusion_visibility(
     """Four-fold parity visibility of two sources fused on one splitter,
     at running power: the simulated analog of the alignment interference
     check between independent photons."""
-    app = assemble_apparatus(
-        star_topology(2),
-        pair_probability=pair_probability,
-        synthesizer_overlap=synthesizer_overlap,
-        fusion_overlap=fusion_overlap,
-        detector_efficiency=efficiency,
-        truncation_pairs=truncation_pairs,
-    )
-    return parity_visibility(app)
-
-
-def _invert_monotone(func, target, iterations=60):
-    lo, hi = 0.0, 1.0
-    if func(hi) < target:
-        raise ValueError(
-            f"target visibility {target} unreachable at this brightness"
+    return parity_visibility(
+        _fusion_apparatus(
+            fusion_overlap, synthesizer_overlap, pair_probability, efficiency,
+            truncation_pairs,
         )
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if func(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    )
+
+
+def _solve_overlap(build, target: float) -> float:
+    """The overlap g in [0, 1] at which build(g) shows parity visibility
+    target, given V(g) = a(g)/c(g) with a and c linear in g."""
+    ends = []
+    for app in (build(0.0), build(1.0)):
+        accepted = absolute_outcome_distribution(app, k_setting(0, app.n_arms))
+        ends.append((parity_visibility(app), sum(accepted.values())))
+    (v0, c0), (v1, c1) = ends
+    below = c0 * (target - v0)
+    above = c1 * (v1 - target)
+    if not (below >= 0.0 and above >= 0.0):
+        raise ValueError(f"target visibility {target} unreachable at this brightness")
+    return below / (below + above)
 
 
 def calibrate_overlaps(
@@ -770,20 +753,25 @@ def calibrate_overlaps(
     Interference visibilities are quoted at running pump power, where
     multi-pair emission already dilutes them; feeding them to the model
     unchanged would double-count that noise. This inverts the two
-    simulated alignment measurements by bisection: first the single
-    source against its diagonal-basis visibility, then the two-source
-    fusion against the independent-photon visibility.
+    simulated alignment measurements: first the single source against its
+    diagonal-basis visibility, then the two-source fusion against the
+    independent-photon visibility.
+
+    Both inversions are exact. At fixed apparatus every accepted
+    probability is (1-g)*D(0) + g*D(1) in the overlap g being solved: the
+    synthesizer overlap weights the single source's coherent member by g
+    and its split members by 1-g, and the fusion overlap weights the
+    interfering and source-marked branches the same way. So the signed
+    parity sum a(g) and the accepted total c(g) are linear, and
+    a(g) = target * c(g) is solved from the apparatus at g = 0 and 1. A
+    target outside [V(0), V(1)] raises.
     """
-    gs = _invert_monotone(
-        lambda g: synthesizer_visibility(
-            g, pair_probability=pair_probability, efficiency=efficiency
-        ),
+    gs = _solve_overlap(
+        lambda g: _synthesizer_apparatus(g, pair_probability, efficiency, 2),
         synthesizer_target,
     )
-    gf = _invert_monotone(
-        lambda g: fusion_visibility(
-            g, gs, pair_probability=pair_probability, efficiency=efficiency
-        ),
+    gf = _solve_overlap(
+        lambda g: _fusion_apparatus(g, gs, pair_probability, efficiency, 3),
         fusion_target,
     )
     return CalibratedOverlaps(synthesizer_overlap=gs, fusion_overlap=gf)

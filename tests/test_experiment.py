@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonfusion.config import ConfigError, config_from_dict, config_to_dict, default_config
 from photonfusion.experiment import (
@@ -31,8 +33,15 @@ from photonfusion.experiment import (
     setting_from_label,
     synthesizer_visibility,
 )
-from photonfusion.elements import waveplate_angles
-from photonfusion.fock import AmplitudeState, ModeLabel, registry_from
+from photonfusion.elements import apply_element, waveplate_angles
+from photonfusion.fock import (
+    AmplitudeState,
+    ModeLabel,
+    map_modes,
+    registry_from,
+    tensor_product,
+)
+from photonfusion.sources import TAG_BROAD, TAG_NARROW, PdcSource, emission_sector
 from photonfusion.topology import (
     FusionTopology,
     chain_topology,
@@ -182,6 +191,66 @@ def test_compensator_phase_is_half_turn(ideal_star):
     assert chain.compensator_phase == pytest.approx(math.pi, abs=1e-12)
     pair = assemble_apparatus(star_topology(2), pair_probability=0.01)
     assert pair.compensator_phase == pytest.approx(math.pi, abs=1e-12)
+    for even in (chain_topology(3), single_source_topology()):
+        app = assemble_apparatus(even, pair_probability=0.01)
+        assert app.compensator_phase == pytest.approx(0.0, abs=1e-12)
+
+
+def probe_compensator_phase(apparatus):
+    """Reference for the compensator phase, read off the optics.
+
+    Pushes one ideal pair per source through the fusion splitters and
+    returns the phase of the post-selected all-H amplitude relative to
+    the all-V one, or 0.0 when either amplitude falls below 1e-12.
+    """
+    probe = None
+    for arm_a, arm_b in apparatus.topology.sources:
+        src = PdcSource(arm_a=arm_a, arm_b=arm_b, pair_amplitude=0.2, truncation_pairs=1)
+        piece = emission_sector(src, 1)
+        own = {arm_a: TAG_NARROW, arm_b: TAG_BROAD}
+        local = registry_from(
+            [ModeLabel(arm, pol, "") for arm in (arm_a, arm_b) for pol in ("H", "V")]
+        )
+        piece = map_modes(
+            piece,
+            local,
+            lambda lab: ModeLabel(lab.arm, lab.pol, "")
+            if lab.tag == own.get(lab.arm)
+            else None,
+        )
+        probe = piece if probe is None else tensor_product(probe, piece)
+    registry = apparatus.plain_registry
+    probe = map_modes(probe, registry, lambda lab: lab)
+    for el in apparatus.fusion_elements:
+        probe = apply_element(probe, el)
+    all_h = [0] * len(registry)
+    all_v = [0] * len(registry)
+    for arm in apparatus.output_arms:
+        all_h[registry.index(ModeLabel(arm, "H", ""))] = 1
+        all_v[registry.index(ModeLabel(arm, "V", ""))] = 1
+    amp_h = probe.terms.get(tuple(all_h), 0j)
+    amp_v = probe.terms.get(tuple(all_v), 0j)
+    if abs(amp_h) < 1e-12 or abs(amp_v) < 1e-12:
+        return 0.0
+    phase = math.atan2(amp_h.imag, amp_h.real) - math.atan2(amp_v.imag, amp_v.real)
+    return phase % (2 * math.pi)
+
+
+@pytest.mark.parametrize(
+    "topology",
+    [
+        star_topology(2),
+        star_topology(4),
+        *(chain_topology(n) for n in range(2, 6)),
+        single_source_topology(),
+        FusionTopology(((1, 2), (3, 4), (5, 6)), ((1, 3), (3, 5), (1, 5))),
+        FusionTopology(((1, 2), (3, 4)), ((2, 3), (1, 4))),
+    ],
+    ids=lambda t: f"{t.shape}{t.n_sources}-{len(t.fusion_edges)}edges",
+)
+def test_compensator_phase_matches_probe(topology):
+    app = assemble_apparatus(topology, pair_probability=0.01)
+    assert app.compensator_phase == probe_compensator_phase(app)
 
 
 @pytest.mark.parametrize(
@@ -457,10 +526,65 @@ def test_calibrated_overlaps_reproduce_targets():
 
 
 def test_unreachable_visibility_target_raises():
-    with pytest.raises(ValueError, match="unreachable"):
-        calibrate_overlaps(
-            pair_probability=0.058, efficiency=0.265, synthesizer_target=0.999
-        )
+    cases = [
+        (dict(synthesizer_target=0.999), "unreachable"),
+        # below the fully distinguishable visibility, which is 0 here
+        (dict(synthesizer_target=-0.5), "unreachable"),
+        (dict(fusion_target=-0.2), "unreachable"),
+        (dict(synthesizer_target=math.nan), "unreachable"),
+        (dict(pair_probability=0.0), "no accepted coincidences"),
+    ]
+    for kwargs, msg in cases:
+        args = dict(pair_probability=0.058, efficiency=0.265) | kwargs
+        with pytest.raises(ValueError, match=msg):
+            calibrate_overlaps(**args)
+
+
+def assert_linear_in_overlap(build, g, setting):
+    """build(x) at overlap x has the distribution (1-x)*D(0) + x*D(1)."""
+    d0, d1, dg = (
+        absolute_outcome_distribution(build(x), setting) for x in (0.0, 1.0, g)
+    )
+    for pat, value in dg.items():
+        mixed = (1.0 - g) * d0[pat] + g * d1[pat]
+        assert abs(value - mixed) <= 1e-12 * max(value, mixed), pat
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    g=st.floats(0.0, 1.0),
+    p=st.floats(1e-3, 0.2),
+    xi=st.floats(0.05, 1.0),
+    k=st.integers(0, 7),
+)
+def test_synthesizer_overlap_enters_linearly(g, p, xi, k):
+    assert_linear_in_overlap(
+        lambda x: assemble_apparatus(
+            single_source_topology(), pair_probability=p, synthesizer_overlap=x,
+            detector_efficiency=xi, truncation_pairs=2,
+        ),
+        g,
+        k_setting(k, 2),
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    g=st.floats(0.0, 1.0),
+    gs=st.floats(0.0, 1.0),
+    p=st.floats(1e-3, 0.2),
+    xi=st.floats(0.05, 1.0),
+    k=st.integers(0, 7),
+)
+def test_fusion_overlap_enters_linearly(g, gs, p, xi, k):
+    assert_linear_in_overlap(
+        lambda x: assemble_apparatus(
+            star_topology(2), pair_probability=p, synthesizer_overlap=gs,
+            fusion_overlap=x, detector_efficiency=xi, truncation_pairs=3,
+        ),
+        g,
+        k_setting(k, 4),
+    )
 
 
 # ---- Monte Carlo ----
