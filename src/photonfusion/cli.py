@@ -22,7 +22,7 @@ import tempfile
 from pathlib import Path
 
 from .analysis import witness_from_histograms
-from .config import ConfigError, default_config, load_config
+from .config import ConfigError, config_topology, default_config, load_config
 from .experiment import (
     CoincidenceHistogram,
     all_detection_patterns,
@@ -169,7 +169,7 @@ def _topology_for(args):
             raise ConfigError(
                 [f"config topology shape is {config.topology.shape!r}, not custom"]
             )
-        return build_apparatus(config).topology
+        return config_topology(config)
     if args.shape == "star":
         return star_topology(args.count)
     return chain_topology(args.count)

@@ -9,7 +9,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .topology import SHAPES, FusionTopology
+from .topology import (
+    SHAPES,
+    FusionTopology,
+    chain_topology,
+    single_source_topology,
+    star_topology,
+)
 
 __all__ = [
     "ConfigError",
@@ -21,6 +27,7 @@ __all__ = [
     "ExperimentConfig",
     "SETTING_LABELS",
     "default_config",
+    "config_topology",
     "config_from_dict",
     "config_to_dict",
     "load_config",
@@ -88,6 +95,20 @@ class ExperimentConfig:
 
 def default_config() -> ExperimentConfig:
     return ExperimentConfig()
+
+
+def config_topology(config: ExperimentConfig) -> FusionTopology:
+    """The fusion layout a config describes: its custom wiring, or the
+    named shape at the configured source count (one source: no fusion)."""
+    shape = config.topology.shape
+    count = config.sources.count
+    if shape == "custom":
+        return FusionTopology(config.topology.sources, config.topology.fusion_edges, "custom")
+    if count == 1:
+        return single_source_topology()
+    if shape == "star":
+        return star_topology(count)
+    return chain_topology(count)
 
 
 # ---- Parsing ----
@@ -190,9 +211,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     custom_edges = _pair_list("fusion_edges")
     if shape == "custom":
         try:
-            FusionTopology(custom_sources, custom_edges, "custom")
+            wired = FusionTopology(custom_sources, custom_edges, "custom").n_sources
         except ValueError as exc:
             problems.append(f"topology: {exc}")
+        else:
+            if wired != sources.count:
+                problems.append(
+                    f"sources.count={sources.count} but topology lists {wired} sources"
+                )
     elif custom_sources or custom_edges:
         problems.append("topology.sources/fusion_edges are only for shape=custom")
     topology = TopologySettings(shape=shape, sources=custom_sources, fusion_edges=custom_edges)

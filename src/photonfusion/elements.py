@@ -130,40 +130,12 @@ def apply_element(state: AmplitudeState, element: LinearElement) -> AmplitudeSta
     )
 
 
-def apply_all(state: AmplitudeState, elements) -> AmplitudeState:
-    for el in elements:
-        state = apply_element(state, el)
-    return state
-
-
 # ---- Standard matrices ----
-
-
-def _rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def hwp_matrix(theta: float) -> np.ndarray:
-    """Half-wave plate with fast axis at theta, acting on (H, V)."""
-    c, s = math.cos(2 * theta), math.sin(2 * theta)
-    return np.array([[c, s], [s, -c]], dtype=complex)
-
-
-def qwp_matrix(theta: float) -> np.ndarray:
-    """Quarter-wave plate with fast axis at theta, acting on (H, V)."""
-    r = _rotation(theta)
-    return r @ np.diag([1.0, -1.0j]) @ r.T
 
 
 def phase_matrix(phi: float) -> np.ndarray:
     """Single-mode phase shift."""
     return np.array([[complex(math.cos(phi), math.sin(phi))]])
-
-
-def beamsplitter_matrix() -> np.ndarray:
-    """Symmetric 50/50 splitter on two spatial modes."""
-    return np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2)
 
 
 def pbs_matrix() -> np.ndarray:
@@ -189,13 +161,3 @@ def analyzer_matrix(theta: float) -> np.ndarray:
     """
     ph = complex(math.cos(theta), -math.sin(theta))
     return np.array([[1.0, ph], [1.0, -ph]]) / math.sqrt(2)
-
-
-def waveplate_angles(theta: float) -> tuple:
-    """Plate settings realizing the analyzer at angle theta.
-
-    Returns (qwp_angle, hwp_angle). Sending light through the quarter-wave
-    plate and then the half-wave plate before an H/V splitter measures the
-    (|H> +/- e^{i theta}|V>)/sqrt2 pair, up to harmless per-outcome phases.
-    """
-    return (math.pi / 4, math.pi / 8 + theta / 4)

@@ -25,14 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig, config_topology
 from .elements import (
     analyzer_matrix,
     apply_element,
     element_on,
     pbs_matrix,
     phase_matrix,
-    waveplate_angles,
 )
 from .fock import (
     AmplitudeState,
@@ -51,8 +50,7 @@ from .sources import (
 )
 from .topology import (
     FusionTopology,
-    chain_topology,
-    pattern_admits_coincidence,
+    admitted_patterns,
     single_source_topology,
     star_topology,
 )
@@ -66,10 +64,8 @@ __all__ = [
     "k_setting",
     "angle_setting",
     "setting_from_label",
-    "analyzer_waveplate_settings",
     "assemble_apparatus",
     "build_apparatus",
-    "ghz_projector_sector",
     "absolute_outcome_distribution",
     "outcome_distribution",
     "emission_pattern_probability",
@@ -79,7 +75,6 @@ __all__ = [
     "fusion_visibility",
     "calibrate_overlaps",
     "monte_carlo_counts",
-    "coincidence_unit_filter",
     "all_detection_patterns",
     "histogram_to_lines",
     "histogram_from_lines",
@@ -131,14 +126,6 @@ def setting_from_label(label: str, n_arms: int = 8) -> MeasurementSetting:
     if label.startswith("k") and label[1:].isdigit():
         return k_setting(int(label[1:]), n_arms)
     raise ValueError(f"unknown setting label {label!r}")
-
-
-def analyzer_waveplate_settings(setting: MeasurementSetting):
-    """Per-arm (quarter-wave, half-wave) plate angles realizing the
-    setting, or None per arm in the computational basis."""
-    if setting.angles is None:
-        return None
-    return tuple(waveplate_angles(a) for a in setting.angles)
 
 
 # ---- Detection-side types ----
@@ -199,27 +186,6 @@ class CoincidenceHistogram:
         return sum(self.counts.values())
 
 
-def coincidence_unit_filter(fired, arms, symbols=("H", "V")):
-    """Reduce a set of fired logical detectors to a pattern, or discard.
-
-    fired holds (arm, symbol) pairs. Accepts exactly when every arm has
-    exactly one fired detector; an arm with both detectors up (a nine-
-    or-more-photon signature) or a missing arm discards the event.
-    """
-    fired = set(fired)
-    allowed = {(arm, s) for arm in arms for s in symbols}
-    stray = fired - allowed
-    if stray:
-        raise ValueError(f"unknown detectors {sorted(stray)}")
-    bits = []
-    for arm in arms:
-        hits = [s for s in symbols if (arm, s) in fired]
-        if len(hits) != 1:
-            return None
-        bits.append(hits[0])
-    return DetectionPattern("".join(bits))
-
-
 # ---- Apparatus ----
 
 
@@ -260,21 +226,6 @@ class Apparatus:
     @property
     def n_detectors(self) -> int:
         return 2 * self.n_arms
-
-    def arm_tag(self, arm):
-        """The wavepacket tag an arm carries before fusion."""
-        for source in self.sources:
-            if arm == source.arm_a:
-                return TAG_NARROW
-            if arm == source.arm_b:
-                return TAG_BROAD
-        raise ValueError(f"arm {arm!r} not in this apparatus")
-
-    def arm_mark(self, arm) -> str:
-        for i, source in enumerate(self.sources):
-            if arm in (source.arm_a, source.arm_b):
-                return f"m{i + 1}"
-        raise ValueError(f"arm {arm!r} not in this apparatus")
 
 
 def _fusion_elements(registry, edges, tags) -> tuple:
@@ -395,25 +346,9 @@ def assemble_apparatus(
 
 
 def build_apparatus(config: ExperimentConfig) -> Apparatus:
-    """Apparatus for a validated config; topology from shape and count."""
-    count = config.sources.count
-    shape = config.topology.shape
-    if shape == "custom":
-        topo = FusionTopology(
-            config.topology.sources, config.topology.fusion_edges, "custom"
-        )
-        if topo.n_sources != count:
-            raise ConfigError(
-                [f"sources.count={count} but topology lists {topo.n_sources} sources"]
-            )
-    elif count == 1:
-        topo = single_source_topology()
-    elif shape == "star":
-        topo = star_topology(count)
-    else:
-        topo = chain_topology(count)
+    """Apparatus for a validated config."""
     return assemble_apparatus(
-        topo,
+        config_topology(config),
         pair_probability=config.sources.pair_probability,
         synthesizer_overlap=config.sources.synthesizer_overlap,
         fusion_overlap=config.sources.fusion_overlap,
@@ -423,40 +358,7 @@ def build_apparatus(config: ExperimentConfig) -> Apparatus:
     )
 
 
-# ---- Post-selection ----
-
-
-def ghz_projector_sector(state: AmplitudeState) -> AmplitudeState:
-    """Restriction to exactly one photon in every arm, unnormalized.
-
-    The squared norm of the result is the post-selection success
-    probability of the input.
-    """
-    arms = []
-    for lab in state.registry:
-        if lab.arm not in arms:
-            arms.append(lab.arm)
-    groups = [
-        [i for i, lab in enumerate(state.registry) if lab.arm == arm] for arm in arms
-    ]
-    kept = {
-        occ: amp
-        for occ, amp in state.terms.items()
-        if all(sum(occ[i] for i in g) == 1 for g in groups)
-    }
-    return AmplitudeState(state.registry, kept, state.truncation_order)
-
-
 # ---- Ensemble assembly ----
-
-
-def _emission_patterns(apparatus: Apparatus):
-    topo = apparatus.topology
-    k = topo.n_sources
-    for order in range(k, apparatus.truncation_pairs + 1):
-        for counts in itertools.product(range(order + 1), repeat=k):
-            if sum(counts) == order and pattern_admits_coincidence(topo, counts):
-                yield counts
 
 
 def _relabel_to(apparatus: Apparatus, state: AmplitudeState, marked: bool):
@@ -613,8 +515,11 @@ def absolute_outcome_distribution(
     cached = apparatus._distribution_cache.get(key)
     if cached is not None:
         return dict(cached)
-    members = itertools.chain.from_iterable(
-        _members_for_pattern(apparatus, counts) for counts in _emission_patterns(apparatus)
+    members = (
+        member
+        for order in range(apparatus.truncation_pairs + 1)
+        for counts in admitted_patterns(apparatus.topology, order)
+        for member in _members_for_pattern(apparatus, counts)
     )
     vector = _pattern_vector(apparatus, members, setting)
     patterns = all_detection_patterns(apparatus.n_arms, setting.symbols)
@@ -623,12 +528,19 @@ def absolute_outcome_distribution(
     return dict(result)
 
 
-def outcome_distribution(apparatus: Apparatus, setting: MeasurementSetting) -> dict:
-    """Conditional distribution over patterns given an accepted event."""
+def _accepted_distribution(apparatus: Apparatus, setting: MeasurementSetting):
+    """The absolute distribution and its total; raises when the
+    apparatus accepts nothing, so no run plan reads as zero events."""
     absolute = absolute_outcome_distribution(apparatus, setting)
     total = sum(absolute.values())
     if total <= 0.0:
         raise ValueError("no accepted coincidences under this truncation")
+    return absolute, total
+
+
+def outcome_distribution(apparatus: Apparatus, setting: MeasurementSetting) -> dict:
+    """Conditional distribution over patterns given an accepted event."""
+    absolute, total = _accepted_distribution(apparatus, setting)
     return {pat: p / total for pat, p in absolute.items()}
 
 
@@ -791,11 +703,12 @@ def monte_carlo_counts(
     Each pattern accumulates at repetition rate times its absolute
     probability. The stream is derived from (seed, setting label), so a
     fixed seed reproduces the histogram bit for bit and different
-    settings draw independently.
+    settings draw independently. An apparatus that accepts nothing
+    raises, as outcome_distribution does.
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
-    absolute = absolute_outcome_distribution(apparatus, setting)
+    absolute, _ = _accepted_distribution(apparatus, setting)
     stream = np.random.SeedSequence([seed, zlib.crc32(setting.label.encode())])
     rng = np.random.default_rng(stream)
     counts = {}

@@ -72,7 +72,7 @@ class AmplitudeState:
     amplitudes. States are value objects: every operation returns a new
     instance. Amplitudes below PRUNE_EPS in magnitude are dropped.
 
-    truncation_order caps the total photon number; creation operators
+    truncation_order caps the total photon number; tensor products
     silently drop any component that would exceed it. This is how the
     perturbative pair-source expansion is kept finite.
     """
@@ -145,18 +145,6 @@ class AmplitudeState:
 
     # ---- Occupation structure ----
 
-    def total_photons(self) -> int:
-        """Max total photon number over terms (0 for vacuum or empty)."""
-        return max((sum(occ) for occ in self.terms), default=0)
-
-    def occupied_mode_indices(self) -> set:
-        out = set()
-        for occ in self.terms:
-            for i, n in enumerate(occ):
-                if n:
-                    out.add(i)
-        return out
-
     def photon_number_sectors(self) -> dict:
         """Split terms by total photon number: {n: AmplitudeState}."""
         buckets: dict = {}
@@ -170,43 +158,6 @@ class AmplitudeState:
 
 def _pruned(terms: dict) -> dict:
     return {occ: a for occ, a in terms.items() if abs(a) > PRUNE_EPS}
-
-
-def vacuum(registry: ModeRegistry, truncation_order: int) -> AmplitudeState:
-    return AmplitudeState(registry, {(0,) * len(registry): 1.0 + 0j}, truncation_order)
-
-
-def apply_creation(
-    state: AmplitudeState, label: ModeLabel, coeff: complex = 1.0
-) -> AmplitudeState:
-    """Apply coeff times the creation operator for one mode.
-
-    Each term picks up coeff * sqrt(n+1) where n is the mode's occupation
-    before the photon is added. Terms that would exceed the state's
-    truncation order are dropped, not raised: the truncation defines the
-    working subspace.
-    """
-    i = state.registry.index(label)
-    out: dict = {}
-    for occ, a in state.terms.items():
-        if sum(occ) + 1 > state.truncation_order:
-            continue
-        n = occ[i]
-        new_occ = occ[:i] + (n + 1,) + occ[i + 1 :]
-        out[new_occ] = out.get(new_occ, 0j) + a * coeff * math.sqrt(n + 1)
-    return AmplitudeState(state.registry, _pruned(out), state.truncation_order)
-
-
-def apply_pair_creation(
-    state: AmplitudeState, first: ModeLabel, second: ModeLabel, coeff: complex = 1.0
-) -> AmplitudeState:
-    """Two creations at once; reads better in pair-source code."""
-    return apply_creation(apply_creation(state, first), second, coeff)
-
-
-def inner_product(a: AmplitudeState, b: AmplitudeState) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    return a.inner(b)
 
 
 def tensor_product(
@@ -235,33 +186,6 @@ def tensor_product(
                 continue
             out[occ_a + occ_b] = amp_a * amp_b
     return AmplitudeState(combined, _pruned(out), trunc)
-
-
-def product_state(a: AmplitudeState, b: AmplitudeState) -> AmplitudeState:
-    """Combine two independent states living on disjoint modes of one registry.
-
-    Occupations add and amplitudes multiply. Only valid when the two states
-    never populate the same mode; that is checked once per call.
-    """
-    if a.registry != b.registry:
-        raise ValueError("product_state requires a shared registry")
-    if a.occupied_mode_indices() & b.occupied_mode_indices():
-        raise ValueError("product_state inputs overlap in mode support")
-    trunc = min(a.truncation_order, b.truncation_order)
-    out: dict = {}
-    for occ_a, amp_a in a.terms.items():
-        for occ_b, amp_b in b.terms.items():
-            tot = 0
-            merged = []
-            for x, y in zip(occ_a, occ_b):
-                n = x + y
-                tot += n
-                merged.append(n)
-            if tot > trunc:
-                continue
-            key = tuple(merged)
-            out[key] = out.get(key, 0j) + amp_a * amp_b
-    return AmplitudeState(a.registry, _pruned(out), trunc)
 
 
 def map_modes(
@@ -296,36 +220,3 @@ def map_modes(
         key = tuple(new_occ)
         out[key] = out.get(key, 0j) + a
     return AmplitudeState(new_registry, out, state.truncation_order)
-
-
-# ---- Serialization ----
-
-
-def state_to_lines(state: AmplitudeState) -> list:
-    """One line per term: comma-separated occupations, then Re and Im.
-
-    repr() keeps floats exact through a round trip.
-    """
-    lines = []
-    for occ in sorted(state.terms):
-        a = complex(state.terms[occ])
-        parts = [str(n) for n in occ] + [repr(a.real), repr(a.imag)]
-        lines.append(",".join(parts))
-    return lines
-
-
-def state_from_lines(
-    lines, registry: ModeRegistry, truncation_order: int
-) -> AmplitudeState:
-    nmodes = len(registry)
-    terms: dict = {}
-    for raw in lines:
-        raw = raw.strip()
-        if not raw:
-            continue
-        parts = raw.split(",")
-        if len(parts) != nmodes + 2:
-            raise ValueError(f"bad state line (expected {nmodes}+2 fields): {raw!r}")
-        occ = tuple(int(p) for p in parts[:nmodes])
-        terms[occ] = complex(float(parts[-2]), float(parts[-1]))
-    return AmplitudeState(registry, terms, truncation_order)

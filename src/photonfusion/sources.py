@@ -1,4 +1,4 @@
-"""Pulsed pair sources and the two-arm Bell-pair synthesizer.
+"""Pulsed pair sources and their output after the Bell-pair synthesizer.
 
 A source emits photon pairs into two arms. Each pair consists of a
 narrowband photon (wavepacket tag "e") and a broadband one (tag "o"),
@@ -15,17 +15,16 @@ single-pair probability is pair_amplitude^2.
 The synthesizer (a half-wave plate on arm_b, a polarizing splitter
 across the arms, and a phase plate) converts each emitted pair into
 (|HH> + |VV>)/sqrt2 across the arms, with the narrowband photon always
-leaving on arm_a. Downstream code mostly uses the direct constructor
-synthesized_pair_state; the element-by-element route exists so the two
-can be checked against each other.
+leaving on arm_a. The simulator builds that output directly, one n-pair
+sector at a time (emission_sector); the test suite rebuilds it element
+by element as a check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .elements import LinearElement, apply_all, element_on, hwp_matrix, pbs_matrix, phase_matrix
 from .fock import AmplitudeState, ModeLabel, ModeRegistry, registry_from
 
 TAG_NARROW = "e"
@@ -69,13 +68,6 @@ class PdcSource:
         return self.pair_amplitude / math.sqrt(2)
 
 
-def set_pair_distinguishability(source: PdcSource, overlap: float) -> PdcSource:
-    """Return a copy of the source with the process overlap replaced."""
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError("overlap must lie in [0, 1]")
-    return replace(source, spectral_overlap=overlap)
-
-
 def source_mode_labels(source: PdcSource) -> list:
     """Canonical 8 labels: arm_a then arm_b, H before V, narrow before broad."""
     return [
@@ -88,123 +80,6 @@ def source_mode_labels(source: PdcSource) -> list:
 
 def source_registry(source: PdcSource) -> ModeRegistry:
     return registry_from(source_mode_labels(source))
-
-
-# ---- Emission ----
-
-# The two pair processes. The first sends the narrowband H photon to
-# arm_a and the broadband V photon to arm_b; the second swaps the arms.
-def _process_modes(source: PdcSource):
-    t_pair = (ModeLabel(source.arm_a, "H", TAG_NARROW), ModeLabel(source.arm_b, "V", TAG_BROAD))
-    r_pair = (ModeLabel(source.arm_b, "H", TAG_NARROW), ModeLabel(source.arm_a, "V", TAG_BROAD))
-    return t_pair, r_pair
-
-
-def pdc_emit(source: PdcSource, registry: ModeRegistry | None = None) -> AmplitudeState:
-    """Multi-pair emission state before the synthesizer, unnormalized.
-
-    Terms are indexed by how many pairs each process contributed. A term
-    with t pairs from one process and r from the other carries amplitude
-    lam^(t+r): the exponential's 1/n! cancels against the multinomial
-    count and the bosonic sqrt(n!) factors. The operator-expansion route
-    in the test suite rebuilds this with raw creation operators.
-    """
-    reg = registry if registry is not None else source_registry(source)
-    t_pair, r_pair = _process_modes(source)
-    idx = {lab: reg.index(lab) for lab in t_pair + r_pair}
-    lam = source.process_amplitude
-    width = len(reg)
-    terms: dict = {}
-    for t in range(source.truncation_pairs + 1):
-        for r in range(source.truncation_pairs + 1 - t):
-            occ = [0] * width
-            occ[idx[t_pair[0]]] += t
-            occ[idx[t_pair[1]]] += t
-            occ[idx[r_pair[0]]] += r
-            occ[idx[r_pair[1]]] += r
-            amp = lam ** (t + r)
-            if abs(amp) > 0:
-                terms[tuple(occ)] = terms.get(tuple(occ), 0j) + amp
-    return AmplitudeState(reg, terms, 2 * source.truncation_pairs)
-
-
-# ---- Synthesizer ----
-
-
-def synthesizer_elements(source: PdcSource, registry: ModeRegistry) -> list:
-    """The synthesizer optics in application order.
-
-    Half-wave plate at pi/4 on arm_b, polarizing splitter across the
-    arms, then a pi phase on arm_a's V modes. The plate and splitter act
-    identically on every wavepacket tag; the phase plate makes both pair
-    processes arrive with coefficient exactly +1.
-    """
-    els = []
-    for tag in TAGS:
-        els.append(
-            element_on(
-                registry,
-                [ModeLabel(source.arm_b, "H", tag), ModeLabel(source.arm_b, "V", tag)],
-                hwp_matrix(math.pi / 4),
-                f"synth-hwp[{tag}]",
-            )
-        )
-    for tag in TAGS:
-        els.append(
-            element_on(
-                registry,
-                [
-                    ModeLabel(source.arm_a, "H", tag),
-                    ModeLabel(source.arm_a, "V", tag),
-                    ModeLabel(source.arm_b, "H", tag),
-                    ModeLabel(source.arm_b, "V", tag),
-                ],
-                pbs_matrix(),
-                f"synth-pbs[{tag}]",
-            )
-        )
-    for tag in TAGS:
-        els.append(
-            element_on(
-                registry,
-                [ModeLabel(source.arm_a, "V", tag)],
-                phase_matrix(math.pi),
-                f"synth-phase[{tag}]",
-            )
-        )
-    return els
-
-
-def synthesized_pair_state(
-    source: PdcSource, registry: ModeRegistry | None = None
-) -> AmplitudeState:
-    """Post-synthesizer state, constructed directly.
-
-    The synthesizer maps the two emission processes onto HH-pair and
-    VV-pair creation with unit coefficients, so the output is the
-    truncated exponential over those: a term with h HH-pairs and v
-    VV-pairs has amplitude lam^(h+v), narrowband photons on arm_a and
-    broadband on arm_b. Must agree with pushing pdc_emit through
-    synthesizer_elements; the test suite holds the two routes together.
-    """
-    reg = registry if registry is not None else source_registry(source)
-    hh = (ModeLabel(source.arm_a, "H", TAG_NARROW), ModeLabel(source.arm_b, "H", TAG_BROAD))
-    vv = (ModeLabel(source.arm_a, "V", TAG_NARROW), ModeLabel(source.arm_b, "V", TAG_BROAD))
-    idx = {lab: reg.index(lab) for lab in hh + vv}
-    lam = source.process_amplitude
-    width = len(reg)
-    terms: dict = {}
-    for h in range(source.truncation_pairs + 1):
-        for v in range(source.truncation_pairs + 1 - h):
-            occ = [0] * width
-            occ[idx[hh[0]]] += h
-            occ[idx[hh[1]]] += h
-            occ[idx[vv[0]]] += v
-            occ[idx[vv[1]]] += v
-            amp = lam ** (h + v)
-            if abs(amp) > 0:
-                terms[tuple(occ)] = terms.get(tuple(occ), 0j) + amp
-    return AmplitudeState(reg, terms, 2 * source.truncation_pairs)
 
 
 def pair_type_sector(
@@ -240,45 +115,6 @@ def emission_sector(
         for occ, amp in piece.terms.items():
             out[occ] = out.get(occ, 0j) + amp
     return AmplitudeState(reg, out, 2 * source.truncation_pairs)
-
-
-@dataclass(frozen=True)
-class SynthesizerOutput:
-    state: AmplitudeState
-    heralded_fidelity: float
-
-
-def ideal_pair_state(source: PdcSource, registry: ModeRegistry | None = None) -> AmplitudeState:
-    """(|HH> + |VV>)/sqrt2 across the arms, narrowband photon on arm_a."""
-    reg = registry if registry is not None else source_registry(source)
-    c = 1 / math.sqrt(2)
-    terms = {}
-    for pol in ("H", "V"):
-        occ = [0] * len(reg)
-        occ[reg.index(ModeLabel(source.arm_a, pol, TAG_NARROW))] = 1
-        occ[reg.index(ModeLabel(source.arm_b, pol, TAG_BROAD))] = 1
-        terms[tuple(occ)] = c + 0j
-    return AmplitudeState(reg, terms, 2 * source.truncation_pairs)
-
-
-def bell_synthesizer(
-    source: PdcSource, registry: ModeRegistry | None = None
-) -> SynthesizerOutput:
-    """Run the emitted state through the synthesizer optics.
-
-    heralded_fidelity is the overlap of the normalized single-pair
-    sector with the ideal pair state: 1.0 for any parameters here, since
-    imperfect process overlap lives in the ensemble weights, not in any
-    single branch's amplitudes.
-    """
-    reg = registry if registry is not None else source_registry(source)
-    out = apply_all(pdc_emit(source, reg), synthesizer_elements(source, reg))
-    sector = out.photon_number_sectors().get(2)
-    if sector is None or sector.norm() == 0.0:
-        fid = 0.0
-    else:
-        fid = abs(ideal_pair_state(source, reg).inner(sector.normalized())) ** 2
-    return SynthesizerOutput(state=out, heralded_fidelity=fid)
 
 
 # ---- Dephasing ensemble ----

@@ -22,6 +22,7 @@ __all__ = [
     "chain_topology",
     "single_source_topology",
     "pattern_admits_coincidence",
+    "admitted_patterns",
     "enumerate_error_terms",
     "n_fold_rate",
     "graph_state_edges",
@@ -183,26 +184,36 @@ def pattern_admits_coincidence(topology: FusionTopology, pattern) -> bool:
     return False
 
 
+def admitted_patterns(topology: FusionTopology, order: int) -> list:
+    """Pair counts per source, totalling order, that pass the filter.
+
+    Fewer total pairs than sources cannot occupy every arm, giving an
+    empty list. Counts come out in itertools.product order, first source
+    slowest.
+    """
+    k = topology.n_sources
+    if order < k:
+        return []
+    return [
+        counts
+        for counts in itertools.product(range(order + 1), repeat=k)
+        if sum(counts) == order and pattern_admits_coincidence(topology, counts)
+    ]
+
+
 def enumerate_error_terms(topology: FusionTopology, order: int):
     """Emission patterns of the given total order that pass the filter.
 
     Any pattern other than one pair per source is flagged erroneous: it
     masquerades as the wanted event once bucket detectors and losses hide
-    the surplus. Fewer total pairs than sources cannot occupy every arm,
-    giving an empty list. Each viable pattern counts once; rows come out
-    sorted by pattern, largest first.
+    the surplus. Each viable pattern counts once; rows come out sorted by
+    pattern, largest first.
     """
-    k = topology.n_sources
-    if order < k:
-        return []
-    desired = (1,) * k
-    rows = []
-    for counts in itertools.product(range(order + 1), repeat=k):
-        if sum(counts) != order:
-            continue
-        if not pattern_admits_coincidence(topology, counts):
-            continue
-        rows.append(ErrorTerm(EmissionPattern(counts), 1, counts != desired))
+    desired = (1,) * topology.n_sources
+    rows = [
+        ErrorTerm(EmissionPattern(counts), 1, counts != desired)
+        for counts in admitted_patterns(topology, order)
+    ]
     rows.sort(key=lambda row: row.pattern.pairs_per_source, reverse=True)
     return rows
 

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import apply_all
 from photonfusion.analysis import (
     ObservableResult,
     PopulationSummary,
@@ -21,7 +22,7 @@ from photonfusion.analysis import (
 )
 from photonfusion.cli import main
 from photonfusion.config import default_config
-from photonfusion.elements import analyzer_matrix, apply_all, element_on
+from photonfusion.elements import analyzer_matrix, element_on
 from photonfusion.experiment import (
     CoincidenceHistogram,
     DetectionPattern,
@@ -37,7 +38,7 @@ from photonfusion.experiment import (
     monte_carlo_counts,
     outcome_distribution,
 )
-from photonfusion.fock import AmplitudeState, ModeLabel, inner_product, registry_from
+from photonfusion.fock import AmplitudeState, ModeLabel, registry_from
 from photonfusion.topology import chain_topology, enumerate_error_terms, star_topology
 
 
@@ -330,7 +331,7 @@ def test_criterion_7_testbed_oracle():
             amps /= np.linalg.norm(amps)
             components.append((weight, qubit_sector_state(dict(zip(basis, amps)))))
         overlap = sum(
-            w * abs(inner_product(ghz, state)) ** 2 for w, state in components
+            w * abs(ghz.inner(state)) ** 2 for w, state in components
         )
         hists = []
         for theta, setting in [(None, hv_setting())] + [

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import apply_all
 from photonfusion.analysis import (
     ObservableResult,
     fidelity_witness,
@@ -14,7 +15,7 @@ from photonfusion.analysis import (
     populations,
     witness_from_histograms,
 )
-from photonfusion.elements import analyzer_matrix, apply_all, element_on
+from photonfusion.elements import analyzer_matrix, element_on
 from photonfusion.experiment import (
     CoincidenceHistogram,
     DetectionPattern,
@@ -23,7 +24,7 @@ from photonfusion.experiment import (
     hv_setting,
     k_setting,
 )
-from photonfusion.fock import AmplitudeState, ModeLabel, inner_product, registry_from
+from photonfusion.fock import AmplitudeState, ModeLabel, registry_from
 
 
 def hv_hist(counts, width=8):
@@ -350,7 +351,7 @@ def test_three_arm_witness_matches_overlap_oracle():
     for _ in range(50):
         components = random_components(rng)
         oracle = sum(
-            w * abs(inner_product(GHZ3, state)) ** 2 for w, state in components
+            w * abs(GHZ3.inner(state)) ** 2 for w, state in components
         )
         report = witness_from_histograms(witness_histograms_for(components))
         assert abs(report.fidelity.value - oracle) < 1e-10

@@ -1,0 +1,47 @@
+import photonfusion
+
+WORKFLOW_API = (
+    "Apparatus",
+    "CoincidenceHistogram",
+    "ConfigError",
+    "DetectionPattern",
+    "ExperimentConfig",
+    "FusionTopology",
+    "MeasurementSetting",
+    "ObservableResult",
+    "PopulationSummary",
+    "WitnessReport",
+    "absolute_outcome_distribution",
+    "assemble_apparatus",
+    "build_apparatus",
+    "calibrate_overlaps",
+    "chain_topology",
+    "emission_pattern_probability",
+    "enumerate_error_terms",
+    "fidelity_witness",
+    "fusion_visibility",
+    "graph_state_edges",
+    "histogram_from_lines",
+    "histogram_to_lines",
+    "hv_setting",
+    "k_setting",
+    "load_config",
+    "m_k_expectation",
+    "monte_carlo_counts",
+    "n_fold_rate",
+    "outcome_distribution",
+    "poisson_propagate",
+    "populations",
+    "save_config",
+    "setting_from_label",
+    "star_topology",
+    "synthesizer_visibility",
+    "witness_from_histograms",
+)
+
+
+def test_package_exports_exactly_the_workflow_api():
+    assert sorted(photonfusion.__all__) == sorted(WORKFLOW_API)
+    assert len(WORKFLOW_API) == 36
+    for name in photonfusion.__all__:
+        assert getattr(photonfusion, name) is not None

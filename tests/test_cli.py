@@ -216,6 +216,8 @@ def test_simulate_unreachable_coincidence_is_config_error(tmp_path, capsys):
     save_config(cfg, path)
     assert main(["simulate", "--config", str(path), "--exact"]) == 2
     assert "no accepted coincidences" in capsys.readouterr().err
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert "no accepted coincidences" in capsys.readouterr().err
 
 
 # ---- analyze ----

@@ -132,6 +132,12 @@ def test_custom_wiring_validated():
     }
     with pytest.raises(ConfigError, match="topology"):
         config_from_dict(data)
+    # a valid two-source wiring under sources.count=4 fails at load
+    data["sources"]["count"] = 4
+    data["topology"]["sources"] = [[1, 2], [4, 3]]
+    data["topology"]["fusion_edges"] = [[1, 4]]
+    with pytest.raises(ConfigError, match="count=4 but topology lists 2"):
+        config_from_dict(data)
 
 
 def test_wiring_lists_only_valid_for_custom_shape():

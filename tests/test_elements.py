@@ -3,21 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (
+    apply_all,
+    apply_creation,
+    beamsplitter_matrix,
+    hwp_matrix,
+    qwp_matrix,
+    vacuum,
+    waveplate_angles,
+)
 from photonfusion.elements import (
     LinearElement,
     analyzer_matrix,
-    apply_all,
     apply_element,
-    beamsplitter_matrix,
     element_on,
-    hwp_matrix,
     phase_matrix,
     pbs_matrix,
-    qwp_matrix,
-    waveplate_angles,
     _compositions,
 )
-from photonfusion.fock import AmplitudeState, ModeLabel, registry_from, vacuum, apply_creation
+from photonfusion.fock import AmplitudeState, ModeLabel, registry_from
 
 
 def polarization_registry():

@@ -15,15 +15,12 @@ from photonfusion.experiment import (
     MeasurementSetting,
     absolute_outcome_distribution,
     all_detection_patterns,
-    analyzer_waveplate_settings,
     angle_setting,
     assemble_apparatus,
     build_apparatus,
     calibrate_overlaps,
-    coincidence_unit_filter,
     emission_pattern_probability,
     fusion_visibility,
-    ghz_projector_sector,
     histogram_from_lines,
     histogram_to_lines,
     hv_setting,
@@ -33,14 +30,8 @@ from photonfusion.experiment import (
     setting_from_label,
     synthesizer_visibility,
 )
-from photonfusion.elements import apply_element, waveplate_angles
-from photonfusion.fock import (
-    AmplitudeState,
-    ModeLabel,
-    map_modes,
-    registry_from,
-    tensor_product,
-)
+from photonfusion.elements import apply_element
+from photonfusion.fock import ModeLabel, map_modes, registry_from, tensor_product
 from photonfusion.sources import TAG_BROAD, TAG_NARROW, PdcSource, emission_sector
 from photonfusion.topology import (
     FusionTopology,
@@ -111,12 +102,6 @@ def test_setting_from_label_round_trip():
         setting_from_label("diag")
 
 
-def test_analyzer_waveplate_settings():
-    assert analyzer_waveplate_settings(hv_setting()) is None
-    plates = analyzer_waveplate_settings(k_setting(1, 2))
-    assert plates == (waveplate_angles(math.pi / 8),) * 2
-
-
 # ---- Patterns and histograms ----
 
 
@@ -148,16 +133,6 @@ def test_histogram_validation():
         CoincidenceHistogram(hv_setting(), {pat: 1}, 0.0, 0)
 
 
-def test_coincidence_unit_filter():
-    arms = (1, 2)
-    assert coincidence_unit_filter({(1, "H"), (2, "V")}, arms).bits == "HV"
-    # both detectors on one arm: a nine-photon signature, dropped
-    assert coincidence_unit_filter({(1, "H"), (1, "V"), (2, "H")}, arms) is None
-    assert coincidence_unit_filter({(1, "H")}, arms) is None
-    with pytest.raises(ValueError, match="unknown"):
-        coincidence_unit_filter({(9, "H"), (1, "H"), (2, "H")}, arms)
-
-
 # ---- Apparatus assembly ----
 
 
@@ -173,16 +148,6 @@ def test_star_apparatus_layout(ideal_star):
     # source mark in the distinguishable branch
     assert len(app.fusion_elements) == 3
     assert len(app.marked_fusion_elements) == 12
-
-
-def test_arm_tag_and_mark(ideal_star):
-    assert ideal_star.arm_tag(1) == "e"
-    assert ideal_star.arm_tag(2) == "o"
-    assert ideal_star.arm_tag(3) == "o"
-    assert ideal_star.arm_mark(1) == "m1"
-    assert ideal_star.arm_mark(3) == "m2"
-    with pytest.raises(ValueError):
-        ideal_star.arm_tag(99)
 
 
 def test_compensator_phase_is_half_turn(ideal_star):
@@ -298,30 +263,6 @@ def test_build_apparatus_count_mismatch():
     }
     with pytest.raises(ConfigError, match="count"):
         build_apparatus(config_from_dict(data))
-
-
-# ---- Post-selection sector ----
-
-
-def test_ghz_projector_sector_keeps_one_per_arm():
-    reg = registry_from(
-        [ModeLabel(a, p, "") for a in (1, 2) for p in ("H", "V")]
-    )
-    st = AmplitudeState(
-        reg,
-        {
-            (1, 0, 0, 1): 0.5,
-            (0, 1, 1, 0): 0.5j,
-            (2, 0, 0, 0): 0.3,
-            (1, 1, 1, 0): 0.4,
-            (0, 0, 0, 0): 0.1,
-        },
-        truncation_order=4,
-    )
-    kept = ghz_projector_sector(st)
-    assert set(kept.terms) == {(1, 0, 0, 1), (0, 1, 1, 0)}
-    assert kept.terms[(1, 0, 0, 1)] == 0.5
-    assert kept.terms[(0, 1, 1, 0)] == 0.5j
 
 
 # ---- Ideal closure ----

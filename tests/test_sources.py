@@ -2,20 +2,22 @@ import math
 
 import pytest
 
-from photonfusion.elements import apply_all
-from photonfusion.fock import ModeLabel, apply_pair_creation, vacuum
-from photonfusion.sources import (
-    PdcSource,
-    bell_synthesizer,
-    emission_sector,
+from oracles import (
+    apply_all,
+    apply_pair_creation,
     ideal_pair_state,
-    pair_type_sector,
     pdc_emit,
-    set_pair_distinguishability,
-    source_ensemble,
-    source_registry,
     synthesized_pair_state,
     synthesizer_elements,
+    vacuum,
+)
+from photonfusion.fock import ModeLabel
+from photonfusion.sources import (
+    PdcSource,
+    emission_sector,
+    pair_type_sector,
+    source_ensemble,
+    source_registry,
 )
 
 
@@ -154,11 +156,6 @@ def test_hh_and_vv_weights_are_equal():
     assert hh.norm_sq() == pytest.approx(vv.norm_sq())
 
 
-def test_bell_synthesizer_reports_unit_heralded_fidelity():
-    out = bell_synthesizer(make_source(p=0.058))
-    assert out.heralded_fidelity == pytest.approx(1.0, abs=1e-12)
-
-
 def test_emission_sector_amplitudes_are_uniform():
     src = make_source(p=0.3, trunc=3)
     reg = source_registry(src)
@@ -171,17 +168,6 @@ def test_emission_sector_amplitudes_are_uniform():
         # and it is exactly the 2n-photon slice of the full output
         slice_ = synthesized_pair_state(src, reg).photon_number_sectors()[2 * n]
         assert (sector + slice_.scaled(-1.0)).norm() == pytest.approx(0.0, abs=1e-13)
-
-
-def test_set_pair_distinguishability():
-    src = make_source(overlap=1.0)
-    tuned = set_pair_distinguishability(src, 0.76)
-    assert tuned.spectral_overlap == 0.76
-    assert src.spectral_overlap == 1.0
-    with pytest.raises(ValueError):
-        set_pair_distinguishability(src, -0.1)
-    with pytest.raises(ValueError):
-        set_pair_distinguishability(src, 1.01)
 
 
 def test_pair_type_sector_rejects_overflow():
