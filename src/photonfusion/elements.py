@@ -9,6 +9,11 @@ out term by term with multinomial expansions, so multi-photon interference
 Matrix convention: columns index input modes, rows index output modes. A
 creation operator on input j becomes sum_k U[k, j] a+_k. Photon number is
 conserved, and unitarity is enforced at construction time.
+
+The simulator does not push whole states through elements. The
+experiment module compiles its optics from them: it applies the fusion
+elements to one-photon states and each analyzer to one-arm states, and
+moves every ensemble member with the maps read off those.
 """
 
 from __future__ import annotations

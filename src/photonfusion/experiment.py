@@ -1,9 +1,17 @@
 """Whole-apparatus simulation: sources into fusions into detectors.
 
-Builds the multi-source interferometer over tagged modes, propagates a
-classical ensemble of amplitude states through the fusion splitters and
-analyzers, and turns the result into exact outcome probabilities or
-Poisson-sampled coincidence histograms.
+Builds the multi-source interferometer over tagged modes, moves a
+classical ensemble of amplitude states through the fusion splitters,
+analyzers and detectors, and turns the result into exact outcome
+probabilities or Poisson-sampled coincidence histograms.
+
+The optics are described once, as linear elements, and compiled from
+those elements on first use rather than applied to every member state.
+The fusion network (polarizing splitters and a phase plate) is
+monomial, so it compiles to a permutation of modes with a phase per
+mode. Analyzers and bucket detectors act on one arm at a time, so they
+compile to per-arm analyzer amplitudes and firing probabilities, and a
+member is reduced arm by arm.
 
 Imperfect interference enters as two scalar overlaps. The synthesizer
 overlap dephases each source's two emission processes against each
@@ -19,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import typing
 import zlib
 from dataclasses import dataclass, field
@@ -27,6 +36,7 @@ import numpy as np
 
 from .config import ExperimentConfig, config_topology
 from .elements import (
+    UNITARITY_TOL,
     analyzer_matrix,
     apply_element,
     element_on,
@@ -34,12 +44,11 @@ from .elements import (
     phase_matrix,
 )
 from .fock import (
+    PRUNE_EPS,
     AmplitudeState,
     ModeLabel,
     ModeRegistry,
-    map_modes,
     registry_from,
-    tensor_product,
 )
 from .sources import (
     TAG_BROAD,
@@ -155,6 +164,13 @@ class DetectionPattern:
 
 def all_detection_patterns(n_arms: int, symbols=("H", "V")) -> list:
     """All 2^n patterns; the first arm's symbol varies slowest."""
+    return list(_detection_patterns(n_arms, tuple(symbols)))
+
+
+@functools.lru_cache(maxsize=32)
+def _detection_patterns(n_arms: int, symbols: tuple) -> tuple:
+    """all_detection_patterns, built once per width and basis so that every
+    distribution of that shape shares its (immutable) keys."""
     first, second = symbols
     out = []
     for i in range(2**n_arms):
@@ -162,7 +178,7 @@ def all_detection_patterns(n_arms: int, symbols=("H", "V")) -> list:
             second if (i >> (n_arms - 1 - j)) & 1 else first for j in range(n_arms)
         )
         out.append(DetectionPattern(bits))
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -197,6 +213,12 @@ class Apparatus:
     and compensation optics are kept both over plain arm/polarization
     modes (interfering branch) and over source-marked modes (the
     distinguishable branch); both describe the same physical elements.
+
+    Two private memos fill on the first distribution call: computed
+    distributions per setting, and the maps compiled from the elements
+    (each branch's fusion permutation and phases, and per analyzer
+    angle the analyzer amplitudes and arm firing probabilities). Neither
+    takes part in equality.
     """
 
     topology: FusionTopology
@@ -217,6 +239,10 @@ class Apparatus:
     # memo for computed outcome distributions; keyed by setting
     _distribution_cache: dict = field(
         default_factory=dict, repr=False, compare=False
+    )
+    # memo for the optics compiled from the elements above
+    _compiled: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     @property
@@ -247,16 +273,6 @@ def _phase_elements(registry, arm, phase, tags) -> tuple:
         )
         for tag in tags
     )
-
-
-def _arm_groups(registry, output_arms):
-    """Per arm: (indices of H-labeled modes, indices of V-labeled modes)."""
-    groups = []
-    for arm in output_arms:
-        h = [i for i, lab in enumerate(registry) if lab.arm == arm and lab.pol == "H"]
-        v = [i for i, lab in enumerate(registry) if lab.arm == arm and lab.pol == "V"]
-        groups.append((tuple(h), tuple(v)))
-    return tuple(groups)
 
 
 def _compensator_phase(topology: FusionTopology) -> float:
@@ -358,76 +374,146 @@ def build_apparatus(config: ExperimentConfig) -> Apparatus:
     )
 
 
-# ---- Ensemble assembly ----
+# ---- Compiled fusion optics ----
 
 
-def _relabel_to(apparatus: Apparatus, state: AmplitudeState, marked: bool):
+def _branch_optics(apparatus: Apparatus, marked: bool):
+    """(registry, fusion then compensator elements) of one branch."""
+    if marked:
+        return apparatus.marked_registry, (
+            apparatus.marked_fusion_elements + apparatus.marked_compensator_elements
+        )
+    return apparatus.plain_registry, (
+        apparatus.fusion_elements + apparatus.compensator_elements
+    )
+
+
+def _branch_labels(apparatus: Apparatus, marked: bool) -> list:
+    """The branch mode of each tagged source mode, in source-registry order.
+
+    A source's narrowband photons leave on arm_a and its broadband ones on
+    arm_b, so the other tag of each arm is never occupied and maps to None.
+    The interfering branch drops the tag; the distinguishable branch
+    replaces it with the mark of the arm's source.
+    """
     own = {}
     mark = {}
     for i, source in enumerate(apparatus.sources):
         own[source.arm_a] = TAG_NARROW
         own[source.arm_b] = TAG_BROAD
         mark[source.arm_a] = mark[source.arm_b] = f"m{i + 1}"
-    if marked:
-        registry = apparatus.marked_registry
-        relabel = lambda lab: (
-            ModeLabel(lab.arm, lab.pol, mark[lab.arm])
-            if lab.tag == own.get(lab.arm)
-            else None
-        )
-    else:
-        registry = apparatus.plain_registry
-        relabel = lambda lab: (
-            ModeLabel(lab.arm, lab.pol, "") if lab.tag == own.get(lab.arm) else None
-        )
-    return map_modes(state, registry, relabel)
+    return [
+        ModeLabel(lab.arm, lab.pol, mark[lab.arm] if marked else "")
+        if lab.tag == own.get(lab.arm)
+        else None
+        for lab in apparatus.registry
+    ]
+
+
+def _compile_fusion(apparatus: Apparatus, marked: bool) -> tuple:
+    """Per tagged source mode: (branch mode index after the fusion optics,
+    phase), or None for a mode that is never occupied.
+
+    Polarizing splitters and phase plates send each a+_j to phi_j a+_pi(j)
+    with pi a bijection, so a term moves by permuting its occupation and
+    multiplying its amplitude by prod_j phi_j^n_j. pi and phi are read off
+    by pushing every one-photon state of the branch registry through the
+    branch's elements; optics that split or scale a photon raise
+    ValueError.
+    """
+    registry, optics = _branch_optics(apparatus, marked)
+    width = len(registry)
+    image = []
+    for i, label in enumerate(registry):
+        occ = [0] * width
+        occ[i] = 1
+        state = AmplitudeState(registry, {tuple(occ): 1.0 + 0j}, 1)
+        for el in optics:
+            state = apply_element(state, el)
+        if len(state.terms) != 1:
+            raise ValueError(
+                f"fusion optics are not monomial: mode {label} leaves in "
+                f"{len(state.terms)} modes"
+            )
+        ((out, phase),) = state.terms.items()
+        if abs(abs(phase) - 1.0) > UNITARITY_TOL:
+            raise ValueError(f"fusion optics scale mode {label} by {abs(phase)}")
+        image.append((out.index(1), phase))
+    return tuple(
+        None if lab is None else image[registry.index(lab)]
+        for lab in _branch_labels(apparatus, marked)
+    )
+
+
+def _fusion_maps(apparatus: Apparatus) -> dict:
+    """{marked?: compiled fusion map}, compiled on first use."""
+    maps = apparatus._compiled.get("fusion")
+    if maps is None:
+        maps = {marked: _compile_fusion(apparatus, marked) for marked in (False, True)}
+        apparatus._compiled["fusion"] = maps
+    return maps
+
+
+def _moved_terms(state: AmplitudeState, image, offset: int) -> list:
+    """A source state's terms after the fusion optics, as
+    (((branch mode, count), ...), amplitude); the source's modes start at
+    offset in the apparatus registry."""
+    out = []
+    for occ, amp in state.terms.items():
+        moves = []
+        for j, n in enumerate(occ):
+            if n:
+                dest, phase = image[offset + j]
+                moves.append((dest, n))
+                amp *= phase**n
+        out.append((tuple(moves), amp))
+    return out
 
 
 def _members_for_pattern(apparatus: Apparatus, counts):
-    """Yield (weight, state, marked?) members of one emission pattern after
-    fusion and compensation.
+    """Yield (weight, terms, marked?) members of one emission pattern after
+    fusion and compensation; terms maps occupations of the branch registry
+    to amplitudes.
 
     The weight of a member is the product of its per-source ensemble
     weights and the fusion-branch weight; states are unnormalized, so a
     member's accepted probability is weight times the detection value of
-    its amplitudes.
+    its amplitudes. A joint amplitude at or below fock.PRUNE_EPS is
+    dropped, as tensor_product drops it.
     """
     gamma_f = apparatus.fusion_overlap
-    cap = 2 * apparatus.truncation_pairs
-    per_source = [
-        source_ensemble(source, n)
-        for source, n in zip(apparatus.sources, counts)
+    branches = [
+        (marked, w) for marked, w in ((False, gamma_f), (True, 1.0 - gamma_f)) if w > 0.0
     ]
+    maps = _fusion_maps(apparatus)
+    widths = {marked: len(_branch_optics(apparatus, marked)[0]) for marked in maps}
+    per_source = []
+    offset = 0  # the apparatus registry lists each source's modes in turn
+    for source, n in zip(apparatus.sources, counts):
+        per_source.append(
+            [
+                (w, {m: _moved_terms(st, maps[m], offset) for m, _ in branches})
+                for w, st in source_ensemble(source, n)
+            ]
+        )
+        offset += len(source_mode_labels(source))
     for combo in itertools.product(*per_source):
         weight = 1.0
         for w, _ in combo:
             weight *= w
-        joint = functools.reduce(
-            lambda a, b: tensor_product(a, b, cap), (st for _, st in combo)
-        )
-        if gamma_f > 0.0:
-            state = _relabel_to(apparatus, joint, marked=False)
-            for el in apparatus.fusion_elements + apparatus.compensator_elements:
-                state = apply_element(state, el)
-            yield weight * gamma_f, state, False
-        if gamma_f < 1.0:
-            state = _relabel_to(apparatus, joint, marked=True)
-            for el in (
-                apparatus.marked_fusion_elements
-                + apparatus.marked_compensator_elements
-            ):
-                state = apply_element(state, el)
-            yield weight * (1.0 - gamma_f), state, True
-
-
-def _coincidence_support(state: AmplitudeState, groups) -> AmplitudeState:
-    """Drop terms with any empty arm; they can never fire all detectors."""
-    kept = {
-        occ: amp
-        for occ, amp in state.terms.items()
-        if all(sum(occ[i] for i in h) + sum(occ[i] for i in v) for h, v in groups)
-    }
-    return AmplitudeState(state.registry, kept, state.truncation_order)
+        for marked, branch_weight in branches:
+            width = widths[marked]
+            terms = {}
+            for parts in itertools.product(*(moved[marked] for _, moved in combo)):
+                occ = [0] * width
+                amp = 1.0
+                for moves, a in parts:
+                    amp *= a
+                    for dest, n in moves:
+                        occ[dest] = n
+                if abs(amp) > PRUNE_EPS:
+                    terms[tuple(occ)] = amp
+            yield weight * branch_weight, terms, marked
 
 
 # ---- Detection ----
@@ -450,52 +536,204 @@ def _analyzer_elements(registry, output_arms, setting: MeasurementSetting):
     return tuple(els)
 
 
-def _detection_vector(state, weight, groups, xi, vector):
-    """Accumulate accepted-pattern probabilities of one member.
+def _firing(n_first: int, n_second: int, miss: float) -> tuple:
+    """Probabilities that only the first, or only the second, of an arm's
+    two detectors fires with n_first and n_second photons at them; each
+    photon is missed independently with probability miss."""
+    silent_first = miss**n_first
+    silent_second = miss**n_second
+    return (1.0 - silent_first) * silent_second, (1.0 - silent_second) * silent_first
 
-    Per term, only the per-arm photon counts at the two detector ports
-    matter: a port with n photons fires with probability 1-(1-xi)^n,
-    independently per photon. Terms are first merged by count profile;
-    distinct mode occupations never interfere in the detectors.
+
+class _ArmDetection:
+    """Analyzers and bucket detectors of one branch under one setting,
+    applied arm by arm.
+
+    An arm's local occupation lists its (H, V) photon numbers per
+    wavepacket tag, tags in registry order. Each (arm, tag) slot's analyzer
+    amplitudes are read off the branch's own analyzer element with
+    apply_element and memoized per input, as are the per-arm firing
+    probabilities. At HV there is no analyzer: the H port is the first.
     """
-    profiles: dict = {}
-    for occ, amp in state.terms.items():
-        prof = tuple(
-            (sum(occ[i] for i in h), sum(occ[i] for i in v)) for h, v in groups
+
+    def __init__(self, apparatus: Apparatus, marked: bool, setting: MeasurementSetting):
+        registry = apparatus.marked_registry if marked else apparatus.plain_registry
+        tags = list(dict.fromkeys(lab.tag for lab in registry))
+        self.registry = registry
+        self.miss = 1.0 - apparatus.detector_efficiency
+        self.modes = tuple(
+            tuple(
+                registry.index(ModeLabel(arm, pol, tag)) for tag in tags for pol in ("H", "V")
+            )
+            for arm in apparatus.output_arms
         )
-        w = abs(amp) ** 2
-        profiles[prof] = profiles.get(prof, 0.0) + w
-    miss = 1.0 - xi
-    for prof, w in profiles.items():
-        vec = np.array([weight * w])
-        for n_first, n_second in prof:
-            silent_first = miss**n_first
-            silent_second = miss**n_second
-            f_first = (1.0 - silent_first) * silent_second
-            f_second = (1.0 - silent_second) * silent_first
-            vec = np.concatenate([vec * f_first, vec * f_second])
-        vector += vec
+        self._getters = [operator.itemgetter(*modes) for modes in self.modes]
+        self.analyzers = None
+        if setting.angles is not None:
+            self.analyzers = {
+                el.mode_indices: el
+                for el in _analyzer_elements(registry, apparatus.output_arms, setting)
+            }
+        self._columns: dict = {}
+        self._rows: dict = {}
+        self._weights: dict = {}
+
+    def local(self, occ) -> tuple:
+        return tuple([get(occ) for get in self._getters])
+
+    def column(self, arm: int, slot: int, h: int, v: int) -> dict:
+        """{p: <p +, (h+v-p) -| analyzer |h H, v V>} of one slot."""
+        key = (arm, slot, h, v)
+        col = self._columns.get(key)
+        if col is None:
+            modes = self.modes[arm][slot : slot + 2]
+            occ = [0] * len(self.registry)
+            occ[modes[0]], occ[modes[1]] = h, v
+            state = AmplitudeState(self.registry, {tuple(occ): 1.0 + 0j}, h + v)
+            out = apply_element(state, self.analyzers[modes])
+            col = self._columns[key] = {o[modes[0]]: a for o, a in out.terms.items()}
+        return col
+
+    def row(self, arm: int, local: tuple) -> tuple:
+        """((first, second) firing probabilities, smallest analyzed amplitude)
+        of one arm for a unit amplitude in one local occupation."""
+        key = (arm, local)
+        hit = self._rows.get(key)
+        if hit is None:
+            hit = self._rows[key] = self._row(arm, local)
+        return hit
+
+    def _row(self, arm: int, local: tuple) -> tuple:
+        if self.analyzers is None:
+            return _firing(sum(local[0::2]), sum(local[1::2]), self.miss), 1.0
+        columns = [
+            self.column(arm, t, local[t], local[t + 1])
+            for t in range(0, len(local), 2)
+            if local[t] + local[t + 1]
+        ]
+        total = sum(local)
+        first = second = 0.0
+        for outs in itertools.product(*(col.items() for col in columns)):
+            plus = sum(p for p, _ in outs)
+            w = abs(math.prod(a for _, a in outs)) ** 2
+            f_first, f_second = _firing(plus, total - plus, self.miss)
+            first += w * f_first
+            second += w * f_second
+        floor = math.prod(min(abs(a) for a in col.values()) for col in columns)
+        return (first, second), floor
+
+    def weights(self, ns: tuple) -> np.ndarray:
+        """Firing probabilities per joint plus count of an arm's slots holding
+        ns photons, shape (prod(n+1), 2)."""
+        hit = self._weights.get(ns)
+        if hit is None:
+            total = sum(ns)
+            hit = self._weights[ns] = np.array(
+                [
+                    _firing(sum(ps), total - sum(ps), self.miss)
+                    for ps in itertools.product(*(range(n + 1) for n in ns))
+                ]
+            )
+        return hit
+
+    def contract(self, terms) -> np.ndarray:
+        """Accepted-pattern vector of one coherence class: [(local, amp)]
+        sharing their photon numbers per slot.
+
+        The analyzers act slot by slot in element order, and analyzed
+        amplitudes at or below fock.PRUNE_EPS are dropped after each, as
+        apply_element drops them.
+        """
+        first = terms[0][0]
+        slots = [
+            (a, t, local[t] + local[t + 1])
+            for a, local in enumerate(first)
+            for t in range(0, len(local), 2)
+            if local[t] + local[t + 1]
+        ]
+        amps = np.zeros([n + 1 for _, _, n in slots], dtype=complex)
+        for local, amp in terms:
+            amps[tuple(local[a][t] for a, t, _ in slots)] = amp
+        for axis, (a, t, n) in enumerate(slots):
+            u = np.zeros((n + 1, n + 1), dtype=complex)
+            for h in range(n + 1):
+                for p, c in self.column(a, t, h, n - h).items():
+                    u[p, h] = c
+            amps = np.moveaxis(np.tensordot(u, amps, axes=([1], [axis])), 0, axis)
+            amps[np.abs(amps) <= PRUNE_EPS] = 0.0
+        prob = np.abs(amps) ** 2
+        per_arm = [tuple(n for b, _, n in slots if b == a) for a in range(len(first))]
+        prob = prob.reshape([math.prod(n + 1 for n in ns) for ns in per_arm])
+        for ns in per_arm:
+            prob = np.tensordot(prob, self.weights(ns), axes=([0], [0]))
+        return prob.ravel(order="F")
+
+
+def _arm_detection(apparatus: Apparatus, marked: bool, setting: MeasurementSetting):
+    key = ("detection", marked, setting.angles)
+    det = apparatus._compiled.get(key)
+    if det is None:
+        det = apparatus._compiled[key] = _ArmDetection(apparatus, marked, setting)
+    return det
+
+
+_PROFILE_BLOCK = 64
 
 
 def _pattern_vector(apparatus: Apparatus, members, setting: MeasurementSetting):
     """Per-pulse probabilities of the 2^n accepted patterns, summed over a
-    stream of (weight, state, marked?) members, first arm slowest."""
-    registries = {False: apparatus.plain_registry, True: apparatus.marked_registry}
-    groups = {m: _arm_groups(reg, apparatus.output_arms) for m, reg in registries.items()}
-    analyzers = {
-        m: _analyzer_elements(reg, apparatus.output_arms, setting)
-        for m, reg in registries.items()
-    }
-    vector = np.zeros(2**apparatus.n_arms)
-    for weight, state, marked in members:
-        state = _coincidence_support(state, groups[marked])
-        if not state.terms:
-            continue
-        for el in analyzers[marked]:
-            state = apply_element(state, el)
-        _detection_vector(
-            state, weight, groups[marked], apparatus.detector_efficiency, vector
-        )
+    stream of (weight, terms, marked?) members.
+
+    Only terms with a photon in every arm can fire every arm. They are
+    grouped into coherence classes, the terms an analyzer can mix: at a
+    rotated setting the terms with equal photon numbers per (arm, tag)
+    slot, at HV each term alone. A single-term class whose analyzed
+    amplitudes all stay above fock.PRUNE_EPS contributes its squared
+    amplitude times the product of its arms' firing probabilities; these
+    are summed per firing profile and expanded once at the end. Any other
+    class is contracted with the analyzers (_ArmDetection.contract).
+
+    The vector is indexed with the first arm varying fastest, the
+    reverse of the order all_detection_patterns labels. This is a known
+    defect kept so that recorded benchmark distributions still match.
+    """
+    n_arms = apparatus.n_arms
+    vector = np.zeros(2**n_arms)
+    profiles: dict = {}
+    for weight, terms, marked in members:
+        det = _arm_detection(apparatus, marked, setting)
+        classes: dict = {}
+        for occ, amp in terms.items():
+            local = det.local(occ)
+            if not all(map(any, local)):
+                continue
+            key = local
+            if det.analyzers is not None:
+                key = tuple([tuple(map(operator.add, a[0::2], a[1::2])) for a in local])
+            classes.setdefault(key, []).append((local, amp))
+        for terms_in_class in classes.values():
+            if len(terms_in_class) == 1:
+                local, amp = terms_in_class[0]
+                rows = []
+                floor = abs(amp)
+                for a, arm_local in enumerate(local):
+                    row, arm_floor = det.row(a, arm_local)
+                    rows.append(row)
+                    floor *= arm_floor
+                if floor > PRUNE_EPS:
+                    profile = tuple(rows)
+                    profiles[profile] = profiles.get(profile, 0.0) + weight * abs(amp) ** 2
+                    continue
+            vector += weight * det.contract(terms_in_class)
+    rows = np.array(list(profiles)).reshape(-1, n_arms, 2)
+    weights = np.fromiter(profiles.values(), float, len(profiles))
+    # a block of profiles at a time keeps the expanded rows small
+    for start in range(0, len(rows), _PROFILE_BLOCK):
+        prob = weights[start : start + _PROFILE_BLOCK, None]
+        block = rows[start : start + _PROFILE_BLOCK]
+        for a in reversed(range(n_arms)):
+            prob = (prob[:, :, None] * block[:, a, None, :]).reshape(len(block), -1)
+        vector += prob.sum(axis=0)
     return vector
 
 
@@ -522,8 +760,11 @@ def absolute_outcome_distribution(
         for member in _members_for_pattern(apparatus, counts)
     )
     vector = _pattern_vector(apparatus, members, setting)
-    patterns = all_detection_patterns(apparatus.n_arms, setting.symbols)
-    result = {pat: float(v) for pat, v in zip(patterns, vector)}
+    patterns = _detection_patterns(apparatus.n_arms, setting.symbols)
+    # keys are shared by every distribution of this shape, and exact zeros
+    # (254 of the 256 HV patterns of the default star) share one 0.0, so
+    # callers that keep many distributions keep them small
+    result = {pat: v or 0.0 for pat, v in zip(patterns, vector.tolist())}
     apparatus._distribution_cache[key] = result
     return dict(result)
 
@@ -547,9 +788,9 @@ def outcome_distribution(apparatus: Apparatus, setting: MeasurementSetting) -> d
 def emission_pattern_probability(apparatus: Apparatus, pairs_per_source) -> float:
     """Accepted probability contributed by one emission pattern alone.
 
-    Takes no counting shortcut: the pattern's state is pushed through the
-    fusion optics and detectors whether or not a quick occupancy argument
-    would admit it, so the result is an independent check on the
+    Takes no counting shortcut: the pattern's state goes through the
+    compiled fusion optics and detectors whether or not a quick occupancy
+    argument would admit it, so the result is an independent check on the
     enumeration in the topology module.
     """
     counts = tuple(int(n) for n in pairs_per_source)

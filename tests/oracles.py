@@ -11,18 +11,44 @@ here rebuild the same physics another way so the two can be compared:
   synthesizer optics must equal ``synthesized_pair_state``, whose
   sectors must equal ``emission_sector``;
 - wave-plate matrices and the plate recipe behind ``analyzer_matrix``,
-  and a balanced splitter for the two-photon dip.
+  and a balanced splitter for the two-photon dip;
+- the element-by-element detection engine: every member state pushed
+  through the fusion, compensator and analyzer elements with
+  ``apply_element`` and reduced term by term, which the compiled fusion
+  map and per-arm detection of ``experiment`` must reproduce.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
 
 from photonfusion.elements import apply_element, element_on, pbs_matrix, phase_matrix
-from photonfusion.fock import AmplitudeState, ModeLabel, ModeRegistry, _pruned
-from photonfusion.sources import TAG_BROAD, TAG_NARROW, TAGS, PdcSource, source_registry
+from photonfusion.experiment import (
+    _analyzer_elements,
+    all_detection_patterns,
+    hv_setting,
+)
+from photonfusion.fock import (
+    AmplitudeState,
+    ModeLabel,
+    ModeRegistry,
+    _pruned,
+    map_modes,
+    tensor_product,
+)
+from photonfusion.sources import (
+    TAG_BROAD,
+    TAG_NARROW,
+    TAGS,
+    PdcSource,
+    source_ensemble,
+    source_registry,
+)
+from photonfusion.topology import admitted_patterns
 
 
 # ---- Creation operators ----
@@ -226,3 +252,142 @@ def ideal_pair_state(source: PdcSource, registry: ModeRegistry | None = None) ->
         occ[reg.index(ModeLabel(source.arm_b, pol, TAG_BROAD))] = 1
         terms[tuple(occ)] = c + 0j
     return AmplitudeState(reg, terms, 2 * source.truncation_pairs)
+
+
+# ---- The element-by-element detection engine ----
+
+
+def relabel_to(apparatus, state: AmplitudeState, marked: bool) -> AmplitudeState:
+    """A state over the tagged source modes, in one branch's registry."""
+    own = {}
+    mark = {}
+    for i, source in enumerate(apparatus.sources):
+        own[source.arm_a] = TAG_NARROW
+        own[source.arm_b] = TAG_BROAD
+        mark[source.arm_a] = mark[source.arm_b] = f"m{i + 1}"
+    if marked:
+        registry = apparatus.marked_registry
+        relabel = lambda lab: (
+            ModeLabel(lab.arm, lab.pol, mark[lab.arm])
+            if lab.tag == own.get(lab.arm)
+            else None
+        )
+    else:
+        registry = apparatus.plain_registry
+        relabel = lambda lab: (
+            ModeLabel(lab.arm, lab.pol, "") if lab.tag == own.get(lab.arm) else None
+        )
+    return map_modes(state, registry, relabel)
+
+
+def members_for_pattern(apparatus, counts):
+    """Yield (weight, state, marked?) members of one emission pattern, each
+    state pushed through the fusion and compensator elements."""
+    gamma_f = apparatus.fusion_overlap
+    cap = 2 * apparatus.truncation_pairs
+    per_source = [
+        source_ensemble(source, n) for source, n in zip(apparatus.sources, counts)
+    ]
+    for combo in itertools.product(*per_source):
+        weight = 1.0
+        for w, _ in combo:
+            weight *= w
+        joint = functools.reduce(
+            lambda a, b: tensor_product(a, b, cap), (st for _, st in combo)
+        )
+        if gamma_f > 0.0:
+            state = relabel_to(apparatus, joint, marked=False)
+            state = apply_all(state, apparatus.fusion_elements + apparatus.compensator_elements)
+            yield weight * gamma_f, state, False
+        if gamma_f < 1.0:
+            state = relabel_to(apparatus, joint, marked=True)
+            state = apply_all(
+                state,
+                apparatus.marked_fusion_elements + apparatus.marked_compensator_elements,
+            )
+            yield weight * (1.0 - gamma_f), state, True
+
+
+def arm_groups(registry, output_arms) -> tuple:
+    """Per arm: (indices of H-labeled modes, indices of V-labeled modes)."""
+    groups = []
+    for arm in output_arms:
+        h = [i for i, lab in enumerate(registry) if lab.arm == arm and lab.pol == "H"]
+        v = [i for i, lab in enumerate(registry) if lab.arm == arm and lab.pol == "V"]
+        groups.append((tuple(h), tuple(v)))
+    return tuple(groups)
+
+
+def coincidence_support(state: AmplitudeState, groups) -> AmplitudeState:
+    """Drop terms with any empty arm; they can never fire all detectors."""
+    kept = {
+        occ: amp
+        for occ, amp in state.terms.items()
+        if all(sum(occ[i] for i in h) + sum(occ[i] for i in v) for h, v in groups)
+    }
+    return AmplitudeState(state.registry, kept, state.truncation_order)
+
+
+def detection_vector(state, weight, groups, xi, vector) -> None:
+    """Accumulate accepted-pattern probabilities of one analyzed member.
+
+    Per term, only the per-arm photon counts at the two detector ports
+    matter: a port with n photons fires with probability 1-(1-xi)^n,
+    independently per photon. Terms are first merged by count profile.
+    """
+    profiles: dict = {}
+    for occ, amp in state.terms.items():
+        prof = tuple(
+            (sum(occ[i] for i in h), sum(occ[i] for i in v)) for h, v in groups
+        )
+        profiles[prof] = profiles.get(prof, 0.0) + abs(amp) ** 2
+    miss = 1.0 - xi
+    for prof, w in profiles.items():
+        vec = np.array([weight * w])
+        for n_first, n_second in prof:
+            silent_first = miss**n_first
+            silent_second = miss**n_second
+            f_first = (1.0 - silent_first) * silent_second
+            f_second = (1.0 - silent_second) * silent_first
+            vec = np.concatenate([vec * f_first, vec * f_second])
+        vector += vec
+
+
+def pattern_vector(apparatus, members, setting) -> np.ndarray:
+    """Accepted-pattern probabilities of a stream of members from
+    members_for_pattern, in the order experiment._pattern_vector keeps."""
+    registries = {False: apparatus.plain_registry, True: apparatus.marked_registry}
+    groups = {m: arm_groups(reg, apparatus.output_arms) for m, reg in registries.items()}
+    analyzers = {
+        m: _analyzer_elements(reg, apparatus.output_arms, setting)
+        for m, reg in registries.items()
+    }
+    vector = np.zeros(2**apparatus.n_arms)
+    for weight, state, marked in members:
+        state = coincidence_support(state, groups[marked])
+        if not state.terms:
+            continue
+        state = apply_all(state, analyzers[marked])
+        detection_vector(
+            state, weight, groups[marked], apparatus.detector_efficiency, vector
+        )
+    return vector
+
+
+def outcome_distribution(apparatus, setting) -> dict:
+    """Reference for experiment.absolute_outcome_distribution."""
+    members = (
+        member
+        for order in range(apparatus.truncation_pairs + 1)
+        for counts in admitted_patterns(apparatus.topology, order)
+        for member in members_for_pattern(apparatus, counts)
+    )
+    vector = pattern_vector(apparatus, members, setting)
+    patterns = all_detection_patterns(apparatus.n_arms, setting.symbols)
+    return {pat: float(v) for pat, v in zip(patterns, vector)}
+
+
+def pattern_probability(apparatus, counts) -> float:
+    """Reference for experiment.emission_pattern_probability."""
+    members = members_for_pattern(apparatus, tuple(counts))
+    return float(pattern_vector(apparatus, members, hv_setting()).sum())

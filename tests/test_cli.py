@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import photonfusion
 from photonfusion.cli import main
 from photonfusion.config import (
     DetectionSettings,
@@ -299,9 +302,12 @@ def test_witness_json_has_fixed_keys(tmp_path):
 
 
 def test_module_entry_point_runs():
+    # the child imports the same package the tests import, installed or not
+    src = str(Path(photonfusion.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "photonfusion.cli", "rate"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("rate_hz:")
