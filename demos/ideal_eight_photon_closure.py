@@ -16,7 +16,7 @@ from photonfusion import (
     star_topology,
     witness_from_histograms,
 )
-from photonfusion.experiment import CoincidenceHistogram
+from photonfusion.experiment import CoincidenceHistogram, absolute_outcome_distributions
 
 # Four sources, one pair each, no distinguishability, unit efficiency.
 apparatus = assemble_apparatus(
@@ -35,18 +35,21 @@ for pattern, prob in sorted(hv.items(), key=lambda item: -item[1]):
 # Rotate every analyzer together through all sixteen grid angles and read
 # off the signed parity. A coherent superposition alternates between +1
 # and -1; a classical mixture of all-H and all-V would stay near zero.
+# One pass over the emission ensemble serves all sixteen settings; the
+# distributions come back per pulse, so each is divided by its total.
 print("\nsigned parity against analyzer angle k*pi/8:")
-for k in range(16):
-    dist = outcome_distribution(apparatus, k_setting(k))
-    parity = sum(((-1) ** pat.count("-")) * p for pat, p in dist.items())
-    print(f"  k={k:2d}  {parity:+.9f}")
+rotated = [k_setting(k) for k in range(16)]
+for k, dist in enumerate(absolute_outcome_distributions(apparatus, rotated)):
+    signed = sum(((-1) ** pat.count("-")) * p for pat, p in dist.items())
+    print(f"  k={k:2d}  {signed / sum(dist.values()):+.9f}")
 
 # Assemble the witness from exact distributions. The histogram container
-# normally holds Monte Carlo counts; probabilities work just as well
-# because the estimators only ever use count ratios.
+# normally holds Monte Carlo counts; per-pulse probabilities work just as
+# well because the estimators only ever use count ratios.
+settings = [hv_setting()] + rotated[:8]
 histograms = [
-    CoincidenceHistogram(setting, dict(outcome_distribution(apparatus, setting)), 3600.0, 0)
-    for setting in [hv_setting()] + [k_setting(k) for k in range(8)]
+    CoincidenceHistogram(setting, dist, 3600.0, 0)
+    for setting, dist in zip(settings, absolute_outcome_distributions(apparatus, settings))
 ]
 report = witness_from_histograms(histograms)
 print(f"\nwitness fidelity: {report.fidelity.value:.12f}")

@@ -25,6 +25,7 @@ from .analysis import witness_from_histograms
 from .config import ConfigError, config_topology, default_config, load_config
 from .experiment import (
     CoincidenceHistogram,
+    absolute_outcome_distributions,
     all_detection_patterns,
     build_apparatus,
     histogram_from_lines,
@@ -86,9 +87,11 @@ def cmd_simulate(args) -> int:
     apparatus = build_apparatus(config)
     out_dir = _out_dir(args, config)
     seed = config.run.seed if args.seed is None else args.seed
-    n_arms = apparatus.n_arms
-    for label in config.run.settings:
-        setting = setting_from_label(label, n_arms)
+    settings = [setting_from_label(label, apparatus.n_arms) for label in config.run.settings]
+    # one pass over the emission ensemble fills the apparatus's cache with
+    # every setting of the plan; each setting below reads its distribution
+    absolute_outcome_distributions(apparatus, settings)
+    for label, setting in zip(config.run.settings, settings):
         duration_s = config.run.duration_hours[label] * 3600.0
         if args.exact:
             dist = outcome_distribution(apparatus, setting)

@@ -76,6 +76,7 @@ __all__ = [
     "assemble_apparatus",
     "build_apparatus",
     "absolute_outcome_distribution",
+    "absolute_outcome_distributions",
     "outcome_distribution",
     "emission_pattern_probability",
     "CalibratedOverlaps",
@@ -216,9 +217,11 @@ class Apparatus:
 
     Two private memos fill on the first distribution call: computed
     distributions per setting, and the maps compiled from the elements
-    (each branch's fusion permutation and phases, and per analyzer
-    angle the analyzer amplitudes and arm firing probabilities). Neither
-    takes part in equality.
+    (each branch's fusion permutation and phases, its arm layout, its
+    analyzer amplitudes per angle and input, and per setting the arm
+    firing probabilities). Neither takes part in equality, and
+    dataclasses.replace starts both empty, since a replaced field can
+    change any of them.
     """
 
     topology: FusionTopology
@@ -238,7 +241,7 @@ class Apparatus:
     marked_compensator_elements: tuple = field(repr=False)
     # memo for computed outcome distributions; keyed by setting
     _distribution_cache: dict = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
     # memo for the optics compiled from the elements above
     _compiled: dict = field(
@@ -419,7 +422,9 @@ def _compile_fusion(apparatus: Apparatus, marked: bool) -> tuple:
     multiplying its amplitude by prod_j phi_j^n_j. pi and phi are read off
     by pushing every one-photon state of the branch registry through the
     branch's elements; optics that split or scale a photon raise
-    ValueError.
+    ValueError. A photon meets only the elements acting on a mode it
+    occupies, since apply_element passes every other term through as it
+    is.
     """
     registry, optics = _branch_optics(apparatus, marked)
     width = len(registry)
@@ -428,8 +433,12 @@ def _compile_fusion(apparatus: Apparatus, marked: bool) -> tuple:
         occ = [0] * width
         occ[i] = 1
         state = AmplitudeState(registry, {tuple(occ): 1.0 + 0j}, 1)
+        occupied = {i}
         for el in optics:
+            if occupied.isdisjoint(el.mode_indices):
+                continue
             state = apply_element(state, el)
+            occupied = {out.index(1) for out in state.terms}
         if len(state.terms) != 1:
             raise ValueError(
                 f"fusion optics are not monomial: mode {label} leaves in "
@@ -445,11 +454,20 @@ def _compile_fusion(apparatus: Apparatus, marked: bool) -> tuple:
     )
 
 
+def _branches(apparatus: Apparatus) -> list:
+    """(marked?, weight) of each fusion branch with a nonzero weight."""
+    gamma_f = apparatus.fusion_overlap
+    return [
+        (marked, w) for marked, w in ((False, gamma_f), (True, 1.0 - gamma_f)) if w > 0.0
+    ]
+
+
 def _fusion_maps(apparatus: Apparatus) -> dict:
-    """{marked?: compiled fusion map}, compiled on first use."""
+    """{marked?: compiled fusion map} of the weighted branches, compiled on
+    first use."""
     maps = apparatus._compiled.get("fusion")
     if maps is None:
-        maps = {marked: _compile_fusion(apparatus, marked) for marked in (False, True)}
+        maps = {marked: _compile_fusion(apparatus, marked) for marked, _ in _branches(apparatus)}
         apparatus._compiled["fusion"] = maps
     return maps
 
@@ -481,10 +499,7 @@ def _members_for_pattern(apparatus: Apparatus, counts):
     its amplitudes. A joint amplitude at or below fock.PRUNE_EPS is
     dropped, as tensor_product drops it.
     """
-    gamma_f = apparatus.fusion_overlap
-    branches = [
-        (marked, w) for marked, w in ((False, gamma_f), (True, 1.0 - gamma_f)) if w > 0.0
-    ]
+    branches = _branches(apparatus)
     maps = _fusion_maps(apparatus)
     widths = {marked: len(_branch_optics(apparatus, marked)[0]) for marked in maps}
     per_source = []
@@ -519,21 +534,23 @@ def _members_for_pattern(apparatus: Apparatus, counts):
 # ---- Detection ----
 
 
+def _analyzer_element(registry, arm, tag, theta: float):
+    labels = [ModeLabel(arm, "H", tag), ModeLabel(arm, "V", tag)]
+    return element_on(registry, labels, analyzer_matrix(theta), f"analyzer-{arm}")
+
+
 def _analyzer_elements(registry, output_arms, setting: MeasurementSetting):
+    """Every (arm, tag) analyzer over a registry under one setting. The
+    compiled detection builds one at a time, when it first reads an angle;
+    the element-by-element reference engine applies the whole list."""
     if setting.angles is None:
         return ()
-    tags = []
-    for lab in registry:
-        if lab.tag not in tags:
-            tags.append(lab.tag)
-    els = []
-    for arm, theta in zip(output_arms, setting.angles):
-        for tag in tags:
-            labels = [ModeLabel(arm, "H", tag), ModeLabel(arm, "V", tag)]
-            els.append(
-                element_on(registry, labels, analyzer_matrix(theta), f"analyzer-{arm}")
-            )
-    return tuple(els)
+    tags = tuple(dict.fromkeys(lab.tag for lab in registry))
+    return tuple(
+        _analyzer_element(registry, arm, tag, theta)
+        for arm, theta in zip(output_arms, setting.angles)
+        for tag in tags
+    )
 
 
 def _firing(n_first: int, n_second: int, miss: float) -> tuple:
@@ -545,82 +562,43 @@ def _firing(n_first: int, n_second: int, miss: float) -> tuple:
     return (1.0 - silent_first) * silent_second, (1.0 - silent_second) * silent_first
 
 
-class _ArmDetection:
-    """Analyzers and bucket detectors of one branch under one setting,
-    applied arm by arm.
+class _ArmLayout:
+    """Where one branch's photons sit, arm by arm: the part of detection
+    that no analyzer angle changes.
 
     An arm's local occupation lists its (H, V) photon numbers per
-    wavepacket tag, tags in registry order. Each (arm, tag) slot's analyzer
-    amplitudes are read off the branch's own analyzer element with
-    apply_element and memoized per input, as are the per-arm firing
-    probabilities. At HV there is no analyzer: the H port is the first.
+    wavepacket tag, tags in registry order; one tag's (H, V) pair is a
+    slot. Firing probabilities per joint plus count are memoized here,
+    since they depend on the detector efficiency alone.
     """
 
-    def __init__(self, apparatus: Apparatus, marked: bool, setting: MeasurementSetting):
+    def __init__(self, apparatus: Apparatus, marked: bool):
         registry = apparatus.marked_registry if marked else apparatus.plain_registry
-        tags = list(dict.fromkeys(lab.tag for lab in registry))
         self.registry = registry
+        self.arms = apparatus.output_arms
+        self.tags = tuple(dict.fromkeys(lab.tag for lab in registry))
         self.miss = 1.0 - apparatus.detector_efficiency
         self.modes = tuple(
             tuple(
-                registry.index(ModeLabel(arm, pol, tag)) for tag in tags for pol in ("H", "V")
+                registry.index(ModeLabel(arm, pol, tag))
+                for tag in self.tags
+                for pol in ("H", "V")
             )
-            for arm in apparatus.output_arms
+            for arm in self.arms
         )
         self._getters = [operator.itemgetter(*modes) for modes in self.modes]
-        self.analyzers = None
-        if setting.angles is not None:
-            self.analyzers = {
-                el.mode_indices: el
-                for el in _analyzer_elements(registry, apparatus.output_arms, setting)
-            }
-        self._columns: dict = {}
-        self._rows: dict = {}
         self._weights: dict = {}
 
-    def local(self, occ) -> tuple:
-        return tuple([get(occ) for get in self._getters])
-
-    def column(self, arm: int, slot: int, h: int, v: int) -> dict:
-        """{p: <p +, (h+v-p) -| analyzer |h H, v V>} of one slot."""
-        key = (arm, slot, h, v)
-        col = self._columns.get(key)
-        if col is None:
-            modes = self.modes[arm][slot : slot + 2]
-            occ = [0] * len(self.registry)
-            occ[modes[0]], occ[modes[1]] = h, v
-            state = AmplitudeState(self.registry, {tuple(occ): 1.0 + 0j}, h + v)
-            out = apply_element(state, self.analyzers[modes])
-            col = self._columns[key] = {o[modes[0]]: a for o, a in out.terms.items()}
-        return col
-
-    def row(self, arm: int, local: tuple) -> tuple:
-        """((first, second) firing probabilities, smallest analyzed amplitude)
-        of one arm for a unit amplitude in one local occupation."""
-        key = (arm, local)
-        hit = self._rows.get(key)
-        if hit is None:
-            hit = self._rows[key] = self._row(arm, local)
-        return hit
-
-    def _row(self, arm: int, local: tuple) -> tuple:
-        if self.analyzers is None:
-            return _firing(sum(local[0::2]), sum(local[1::2]), self.miss), 1.0
-        columns = [
-            self.column(arm, t, local[t], local[t + 1])
-            for t in range(0, len(local), 2)
-            if local[t] + local[t + 1]
-        ]
-        total = sum(local)
-        first = second = 0.0
-        for outs in itertools.product(*(col.items() for col in columns)):
-            plus = sum(p for p, _ in outs)
-            w = abs(math.prod(a for _, a in outs)) ** 2
-            f_first, f_second = _firing(plus, total - plus, self.miss)
-            first += w * f_first
-            second += w * f_second
-        floor = math.prod(min(abs(a) for a in col.values()) for col in columns)
-        return (first, second), floor
+    def supported(self, terms: dict) -> list:
+        """[(local occupations, amplitude)] of the terms with a photon in
+        every arm, the only ones that can fire every arm."""
+        getters = self._getters
+        out = []
+        for occ, amp in terms.items():
+            local = tuple([get(occ) for get in getters])
+            if all(map(any, local)):
+                out.append((local, amp))
+        return out
 
     def weights(self, ns: tuple) -> np.ndarray:
         """Firing probabilities per joint plus count of an arm's slots holding
@@ -635,6 +613,72 @@ class _ArmDetection:
                 ]
             )
         return hit
+
+
+class _ArmDetection:
+    """Analyzers and bucket detectors of one branch under one setting,
+    applied arm by arm.
+
+    A slot's analyzer amplitudes are read off the branch's own analyzer
+    element with apply_element on a one-slot input. They depend on the
+    angle and the input alone, so they are memoized per apparatus and
+    branch by (angle, h, v) and shared by every setting and arm at that
+    angle. Per-arm firing probabilities are memoized per setting. At HV
+    there is no analyzer: the H port is the first.
+    """
+
+    def __init__(self, apparatus: Apparatus, marked: bool, setting: MeasurementSetting):
+        self.layout = _arm_layout(apparatus, marked)
+        self.angles = setting.angles
+        self._columns = apparatus._compiled.setdefault(("columns", marked), {})
+        self._rows: dict = {}
+
+    def column(self, arm: int, slot: int, h: int, v: int) -> dict:
+        """{p: <p +, (h+v-p) -| analyzer |h H, v V>} of one slot."""
+        theta = self.angles[arm]
+        key = (theta, h, v)
+        col = self._columns.get(key)
+        if col is None:
+            layout = self.layout
+            modes = layout.modes[arm][slot : slot + 2]
+            occ = [0] * len(layout.registry)
+            occ[modes[0]], occ[modes[1]] = h, v
+            state = AmplitudeState(layout.registry, {tuple(occ): 1.0 + 0j}, h + v)
+            element = _analyzer_element(
+                layout.registry, layout.arms[arm], layout.tags[slot // 2], theta
+            )
+            out = apply_element(state, element)
+            col = self._columns[key] = {o[modes[0]]: a for o, a in out.terms.items()}
+        return col
+
+    def row(self, arm: int, local: tuple) -> tuple:
+        """((first, second) firing probabilities, smallest analyzed amplitude)
+        of one arm for a unit amplitude in one local occupation."""
+        key = (arm, local)
+        hit = self._rows.get(key)
+        if hit is None:
+            hit = self._rows[key] = self._row(arm, local)
+        return hit
+
+    def _row(self, arm: int, local: tuple) -> tuple:
+        miss = self.layout.miss
+        if self.angles is None:
+            return _firing(sum(local[0::2]), sum(local[1::2]), miss), 1.0
+        columns = [
+            self.column(arm, t, local[t], local[t + 1])
+            for t in range(0, len(local), 2)
+            if local[t] + local[t + 1]
+        ]
+        total = sum(local)
+        first = second = 0.0
+        for outs in itertools.product(*(col.items() for col in columns)):
+            plus = sum(p for p, _ in outs)
+            w = abs(math.prod(a for _, a in outs)) ** 2
+            f_first, f_second = _firing(plus, total - plus, miss)
+            first += w * f_first
+            second += w * f_second
+        floor = math.prod(min(abs(a) for a in col.values()) for col in columns)
+        return (first, second), floor
 
     def contract(self, terms) -> np.ndarray:
         """Accepted-pattern vector of one coherence class: [(local, amp)]
@@ -665,8 +709,16 @@ class _ArmDetection:
         per_arm = [tuple(n for b, _, n in slots if b == a) for a in range(len(first))]
         prob = prob.reshape([math.prod(n + 1 for n in ns) for ns in per_arm])
         for ns in per_arm:
-            prob = np.tensordot(prob, self.weights(ns), axes=([0], [0]))
+            prob = np.tensordot(prob, self.layout.weights(ns), axes=([0], [0]))
         return prob.ravel(order="F")
+
+
+def _arm_layout(apparatus: Apparatus, marked: bool) -> _ArmLayout:
+    key = ("layout", marked)
+    layout = apparatus._compiled.get(key)
+    if layout is None:
+        layout = apparatus._compiled[key] = _ArmLayout(apparatus, marked)
+    return layout
 
 
 def _arm_detection(apparatus: Apparatus, marked: bool, setting: MeasurementSetting):
@@ -680,40 +732,28 @@ def _arm_detection(apparatus: Apparatus, marked: bool, setting: MeasurementSetti
 _PROFILE_BLOCK = 64
 
 
-def _pattern_vector(apparatus: Apparatus, members, setting: MeasurementSetting):
-    """Per-pulse probabilities of the 2^n accepted patterns, summed over a
-    stream of (weight, terms, marked?) members.
+class _PatternSum:
+    """One setting's accepted-pattern vector, summed class by class.
 
-    Only terms with a photon in every arm can fire every arm. They are
-    grouped into coherence classes, the terms an analyzer can mix: at a
-    rotated setting the terms with equal photon numbers per (arm, tag)
-    slot, at HV each term alone. A single-term class whose analyzed
-    amplitudes all stay above fock.PRUNE_EPS contributes its squared
-    amplitude times the product of its arms' firing probabilities; these
-    are summed per firing profile and expanded once at the end. Any other
-    class is contracted with the analyzers (_ArmDetection.contract).
-
-    The vector is indexed with the first arm varying fastest, the
-    reverse of the order all_detection_patterns labels. This is a known
-    defect kept so that recorded benchmark distributions still match.
+    A single-term class whose analyzed amplitudes all stay above
+    fock.PRUNE_EPS adds its squared amplitude to its firing profile, the
+    product of its arms' firing probabilities; profiles are summed over
+    the whole stream and expanded once, in vector(). Any other class is
+    contracted with the analyzers (_ArmDetection.contract).
     """
-    n_arms = apparatus.n_arms
-    vector = np.zeros(2**n_arms)
-    profiles: dict = {}
-    for weight, terms, marked in members:
-        det = _arm_detection(apparatus, marked, setting)
-        classes: dict = {}
-        for occ, amp in terms.items():
-            local = det.local(occ)
-            if not all(map(any, local)):
-                continue
-            key = local
-            if det.analyzers is not None:
-                key = tuple([tuple(map(operator.add, a[0::2], a[1::2])) for a in local])
-            classes.setdefault(key, []).append((local, amp))
-        for terms_in_class in classes.values():
-            if len(terms_in_class) == 1:
-                local, amp = terms_in_class[0]
+
+    def __init__(self, apparatus: Apparatus, setting: MeasurementSetting):
+        self.apparatus = apparatus
+        self.setting = setting
+        self.contracted = np.zeros(2**apparatus.n_arms)
+        self.profiles: dict = {}
+
+    def add(self, marked: bool, weight: float, classes) -> None:
+        det = _arm_detection(self.apparatus, marked, self.setting)
+        profiles = self.profiles
+        for terms in classes:
+            if len(terms) == 1:
+                local, amp = terms[0]
                 rows = []
                 floor = abs(amp)
                 for a, arm_local in enumerate(local):
@@ -724,17 +764,102 @@ def _pattern_vector(apparatus: Apparatus, members, setting: MeasurementSetting):
                     profile = tuple(rows)
                     profiles[profile] = profiles.get(profile, 0.0) + weight * abs(amp) ** 2
                     continue
-            vector += weight * det.contract(terms_in_class)
-    rows = np.array(list(profiles)).reshape(-1, n_arms, 2)
-    weights = np.fromiter(profiles.values(), float, len(profiles))
-    # a block of profiles at a time keeps the expanded rows small
-    for start in range(0, len(rows), _PROFILE_BLOCK):
-        prob = weights[start : start + _PROFILE_BLOCK, None]
-        block = rows[start : start + _PROFILE_BLOCK]
-        for a in reversed(range(n_arms)):
-            prob = (prob[:, :, None] * block[:, a, None, :]).reshape(len(block), -1)
-        vector += prob.sum(axis=0)
+            self.contracted += weight * det.contract(terms)
+
+    def vector(self) -> np.ndarray:
+        """The summed vector: the profiles expanded into the contracted
+        classes' sum, in place, so called once after the last add."""
+        n_arms = self.apparatus.n_arms
+        vector = self.contracted
+        rows = np.array(list(self.profiles)).reshape(-1, n_arms, 2)
+        weights = np.fromiter(self.profiles.values(), float, len(self.profiles))
+        # a block of profiles at a time keeps the expanded rows small
+        for start in range(0, len(rows), _PROFILE_BLOCK):
+            prob = weights[start : start + _PROFILE_BLOCK, None]
+            block = rows[start : start + _PROFILE_BLOCK]
+            for a in reversed(range(n_arms)):
+                prob = (prob[:, :, None] * block[:, a, None, :]).reshape(len(block), -1)
+            vector += prob.sum(axis=0)
+        return vector
+
+
+def _pattern_vectors(apparatus: Apparatus, members, settings) -> list:
+    """Per-pulse probabilities of the 2^n accepted patterns under each
+    setting, summed over one stream of (weight, terms, marked?) members.
+
+    Only terms with a photon in every arm can fire every arm. They are
+    grouped into coherence classes, the terms an analyzer can mix: at a
+    rotated setting the terms with equal photon numbers per (arm, tag)
+    slot, at HV each term alone. Neither the supported terms nor the
+    classes depend on the angles, so each member is split once and only
+    the analyzer and detector reduction (_PatternSum) runs per setting.
+
+    The vectors are indexed with the first arm varying fastest, the
+    reverse of the order all_detection_patterns labels. This is a known
+    defect kept so that recorded benchmark distributions still match.
+    """
+    sums = [_PatternSum(apparatus, setting) for setting in settings]
+    hv = [s for s in sums if s.setting.angles is None]
+    rotated = [s for s in sums if s.setting.angles is not None]
+    for weight, terms, marked in members:
+        supported = _arm_layout(apparatus, marked).supported(terms)
+        if hv:
+            singles = [[term] for term in supported]
+            for s in hv:
+                s.add(marked, weight, singles)
+        if rotated:
+            classes: dict = {}
+            for term in supported:
+                key = tuple([tuple(map(operator.add, a[0::2], a[1::2])) for a in term[0]])
+                classes.setdefault(key, []).append(term)
+            grouped = list(classes.values())
+            for s in rotated:
+                s.add(marked, weight, grouped)
+    return [s.vector() for s in sums]
+
+
+def _pattern_vector(apparatus: Apparatus, members, setting: MeasurementSetting):
+    """_pattern_vectors under one setting."""
+    (vector,) = _pattern_vectors(apparatus, members, [setting])
     return vector
+
+
+def absolute_outcome_distributions(apparatus: Apparatus, settings) -> list:
+    """absolute_outcome_distribution under each of several settings, in
+    order, from one pass over the emission ensemble.
+
+    Emission patterns, ensemble members and their fusion do not depend on
+    the analyzers, so each member is assembled once and reduced under
+    every setting not yet in the apparatus's cache; a run plan asks for
+    all of its settings here and then reads each from the cache.
+    """
+    settings = list(settings)
+    for setting in settings:
+        if setting.angles is not None and len(setting.angles) != apparatus.n_arms:
+            raise ValueError(
+                f"setting has {len(setting.angles)} angles for {apparatus.n_arms} arms"
+            )
+    cache = apparatus._distribution_cache
+    todo = {}
+    for setting in settings:
+        key = (setting.label, setting.angles)
+        if key not in cache:
+            todo.setdefault(key, setting)
+    if todo:
+        members = (
+            member
+            for order in range(apparatus.truncation_pairs + 1)
+            for counts in admitted_patterns(apparatus.topology, order)
+            for member in _members_for_pattern(apparatus, counts)
+        )
+        vectors = _pattern_vectors(apparatus, members, list(todo.values()))
+        for (key, setting), vector in zip(todo.items(), vectors):
+            patterns = _detection_patterns(apparatus.n_arms, setting.symbols)
+            # keys are shared by every distribution of this shape, and exact
+            # zeros (254 of the 256 HV patterns of the default star) share one
+            # 0.0, so callers that keep many distributions keep them small
+            cache[key] = {pat: v or 0.0 for pat, v in zip(patterns, vector.tolist())}
+    return [dict(cache[(s.label, s.angles)]) for s in settings]
 
 
 def absolute_outcome_distribution(
@@ -745,28 +870,8 @@ def absolute_outcome_distribution(
     Patterns where some arm fires both detectors or none are discarded by
     construction, so the values sum to the total accepted probability.
     """
-    if setting.angles is not None and len(setting.angles) != apparatus.n_arms:
-        raise ValueError(
-            f"setting has {len(setting.angles)} angles for {apparatus.n_arms} arms"
-        )
-    key = (setting.label, setting.angles)
-    cached = apparatus._distribution_cache.get(key)
-    if cached is not None:
-        return dict(cached)
-    members = (
-        member
-        for order in range(apparatus.truncation_pairs + 1)
-        for counts in admitted_patterns(apparatus.topology, order)
-        for member in _members_for_pattern(apparatus, counts)
-    )
-    vector = _pattern_vector(apparatus, members, setting)
-    patterns = _detection_patterns(apparatus.n_arms, setting.symbols)
-    # keys are shared by every distribution of this shape, and exact zeros
-    # (254 of the 256 HV patterns of the default star) share one 0.0, so
-    # callers that keep many distributions keep them small
-    result = {pat: v or 0.0 for pat, v in zip(patterns, vector.tolist())}
-    apparatus._distribution_cache[key] = result
-    return dict(result)
+    (distribution,) = absolute_outcome_distributions(apparatus, [setting])
+    return distribution
 
 
 def _accepted_distribution(apparatus: Apparatus, setting: MeasurementSetting):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import photonfusion
+from photonfusion import experiment
 from photonfusion.cli import main
 from photonfusion.config import (
     DetectionSettings,
@@ -221,6 +222,23 @@ def test_simulate_unreachable_coincidence_is_config_error(tmp_path, capsys):
     assert "no accepted coincidences" in capsys.readouterr().err
     assert main(["simulate", "--config", str(path)]) == 2
     assert "no accepted coincidences" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [[], ["--exact"]], ids=["sampled", "exact"])
+def test_simulate_assembles_the_ensemble_once_per_plan(tmp_path, monkeypatch, flags):
+    # the default plan has nine settings and one admitted emission pattern
+    # of four sources: one ensemble per source serves every setting
+    calls = []
+    ensemble = experiment.source_ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "source_ensemble", counted)
+    assert main(["simulate", "--out", str(tmp_path), *flags]) == 0
+    assert len(list(tmp_path.glob("*.csv"))) == 9
+    assert len(calls) == 4
 
 
 # ---- analyze ----

@@ -1,6 +1,7 @@
 """End-to-end apparatus tests: closure, noise knobs, counting, file IO."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from photonfusion.experiment import (
     MeasurementSetting,
     _pattern_vector,
     absolute_outcome_distribution,
+    absolute_outcome_distributions,
     all_detection_patterns,
     angle_setting,
     assemble_apparatus,
@@ -334,6 +336,22 @@ def test_conditional_sums_to_one(noisy_pair):
 def test_setting_arity_checked(noisy_pair):
     with pytest.raises(ValueError, match="angles"):
         outcome_distribution(noisy_pair, k_setting(0, 8))
+    with pytest.raises(ValueError, match="angles"):
+        absolute_outcome_distributions(noisy_pair, [hv_setting(), k_setting(0, 8)])
+
+
+def test_replaced_apparatus_recomputes_its_distributions():
+    app = assemble_apparatus(
+        star_topology(2), pair_probability=0.05, detector_efficiency=0.3
+    )
+    dim = absolute_outcome_distribution(app, hv_setting())
+    bright = dataclasses.replace(app, detector_efficiency=0.9)
+    fresh = assemble_apparatus(
+        star_topology(2), pair_probability=0.05, detector_efficiency=0.9
+    )
+    expected = absolute_outcome_distribution(fresh, hv_setting())
+    assert sum(expected.values()) > 10 * sum(dim.values())
+    assert absolute_outcome_distribution(bright, hv_setting()) == expected
 
 
 # ---- Distinguishability knobs ----
@@ -659,14 +677,16 @@ ORACLE_TOPOLOGIES = (
 
 @st.composite
 def oracle_cases(draw):
-    """A small apparatus, and HV or per-arm angles that are not all equal."""
+    """A builder of one small apparatus, and one to three settings, each
+    HV or per-arm angles that are not all equal."""
     topology = draw(st.sampled_from(ORACLE_TOPOLOGIES))
     n = topology.n_sources
     # below n pairs nothing is accepted; the oracle takes ~15 s per rotated
     # three-source setting at truncation 5
     top = n + 2 if n == 2 else n + 1
     unit = st.floats(0.0, 1.0)
-    app = assemble_apparatus(
+    build = functools.partial(
+        assemble_apparatus,
         topology,
         pair_probability=draw(unit),
         synthesizer_overlap=draw(unit),
@@ -674,19 +694,16 @@ def oracle_cases(draw):
         detector_efficiency=draw(st.floats(0.0, 1.0, exclude_min=True)),
         truncation_pairs=draw(st.integers(n, top)),
     )
+    n_arms = 2 * n
     angle = st.floats(0.0, 2 * math.pi, exclude_max=True)
-    angles = draw(
-        st.none()
-        | st.lists(angle, min_size=app.n_arms, max_size=app.n_arms).filter(
-            lambda a: len(set(a)) > 1
-        )
+    setting = st.none() | st.lists(angle, min_size=n_arms, max_size=n_arms).filter(
+        lambda a: len(set(a)) > 1
     )
-    return app, hv_setting() if angles is None else angle_setting(angles)
+    drawn = draw(st.lists(setting, min_size=1, max_size=3))
+    return build, [hv_setting() if a is None else angle_setting(a) for a in drawn]
 
 
-def assert_matches_oracle(app, setting):
-    got = absolute_outcome_distribution(app, setting)
-    expected = oracle_distribution(app, setting)
+def assert_matches(got, expected):
     assert got.keys() == expected.keys()
     for pat, ref in expected.items():
         value = got[pat]
@@ -695,10 +712,22 @@ def assert_matches_oracle(app, setting):
         assert abs(value - ref) <= 1e-12 * max(value, ref), (pat, value, ref)
 
 
+def assert_matches_oracle(app, setting):
+    got = absolute_outcome_distribution(app, setting)
+    assert_matches(got, oracle_distribution(app, setting))
+
+
 @settings(max_examples=30, deadline=None)
 @given(case=oracle_cases())
 def test_distribution_matches_element_oracle(case):
-    assert_matches_oracle(*case)
+    build, run_settings = case
+    app = build()
+    batch = absolute_outcome_distributions(app, run_settings)
+    assert len(batch) == len(run_settings)
+    for setting, got in zip(run_settings, batch):
+        assert_matches(got, oracle_distribution(app, setting))
+        # sharing one pass with other settings changes no bit
+        assert got == absolute_outcome_distribution(build(), setting)
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
