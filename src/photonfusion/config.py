@@ -93,6 +93,12 @@ class ExperimentConfig:
     output: OutputSettings = field(default_factory=OutputSettings)
 
 
+def _witness_plan(n_arms: int) -> tuple:
+    """The run plan of the n-arm witness: HV, then the rotated settings at
+    angles j*pi/n for j < n, each named by its k label (k*pi/8)."""
+    return ("HV",) + tuple(f"k{8 * j // n_arms}" for j in range(n_arms))
+
+
 def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
@@ -242,7 +248,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         top.get("run", {}), "run", ("settings", "duration_hours", "seed"), problems
     )
     run_base = RunPlanSettings()
-    labels = run_d.get("settings", run_base.settings)
+    labels = run_d.get("settings", _witness_plan(2 * sources.count))
     if not isinstance(labels, (list, tuple)) or not labels:
         problems.append("run.settings must be a non-empty list")
         labels = run_base.settings

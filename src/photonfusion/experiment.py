@@ -17,9 +17,11 @@ Imperfect interference enters as two scalar overlaps. The synthesizer
 overlap dephases each source's two emission processes against each
 other; the fusion overlap splits the run into a branch where photons
 from different sources interfere at the splitters and a branch where
-every photon keeps a mark identifying its source. Weights multiply, so
-any cross-source coherence in the output carries the product of all the
-overlaps involved.
+every photon keeps a mark identifying its source. Each branch of
+nonzero weight is one _Branch, built on first use: its weight, its fusion
+optics compiled from its own elements, and its arm-by-arm detection
+layout. Weights multiply, so any cross-source coherence in the output
+carries the product of all the overlaps involved.
 """
 
 from __future__ import annotations
@@ -126,8 +128,17 @@ def k_setting(k: int, n_arms: int = 8) -> MeasurementSetting:
     return MeasurementSetting(f"k{k}", (k * math.pi / 8,) * n_arms)
 
 
-def angle_setting(angles, label: str = "custom") -> MeasurementSetting:
-    return MeasurementSetting(label, tuple(angles))
+_ANGLES_PREFIX = "angles:"
+
+
+def angle_setting(angles, label: str | None = None) -> MeasurementSetting:
+    """One analyzer angle per arm. Without a label, the label spells out
+    the angles, so settings at different angles draw different Poisson
+    streams and setting_from_label reads the label back exactly."""
+    angles = tuple(float(a) for a in angles)
+    if label is None:
+        label = _ANGLES_PREFIX + ";".join(map(repr, angles))
+    return MeasurementSetting(label, angles)
 
 
 def setting_from_label(label: str, n_arms: int = 8) -> MeasurementSetting:
@@ -135,6 +146,14 @@ def setting_from_label(label: str, n_arms: int = 8) -> MeasurementSetting:
         return hv_setting()
     if label.startswith("k") and label[1:].isdigit():
         return k_setting(int(label[1:]), n_arms)
+    if label.startswith(_ANGLES_PREFIX):
+        try:
+            angles = [float(a) for a in label[len(_ANGLES_PREFIX) :].split(";")]
+        except ValueError:
+            raise ValueError(f"unknown setting label {label!r}") from None
+        if len(angles) != n_arms:
+            raise ValueError(f"setting {label!r} has {len(angles)} angles for {n_arms} arms")
+        return MeasurementSetting(label, tuple(angles))
     raise ValueError(f"unknown setting label {label!r}")
 
 
@@ -216,12 +235,10 @@ class Apparatus:
     distinguishable branch); both describe the same physical elements.
 
     Two private memos fill on the first distribution call: computed
-    distributions per setting, and the maps compiled from the elements
-    (each branch's fusion permutation and phases, its arm layout, its
-    analyzer amplitudes per angle and input, and per setting the arm
-    firing probabilities). Neither takes part in equality, and
-    dataclasses.replace starts both empty, since a replaced field can
-    change any of them.
+    distributions per setting, and _branches, one _Branch per fusion
+    branch of nonzero weight holding what is compiled from its elements.
+    Neither takes part in equality, and dataclasses.replace starts both
+    empty, since a replaced field can change any of them.
     """
 
     topology: FusionTopology
@@ -243,10 +260,6 @@ class Apparatus:
     _distribution_cache: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # memo for the optics compiled from the elements above
-    _compiled: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def n_arms(self) -> int:
@@ -255,6 +268,13 @@ class Apparatus:
     @property
     def n_detectors(self) -> int:
         return 2 * self.n_arms
+
+    @functools.cached_property
+    def _branches(self) -> tuple:
+        """The fusion branches of nonzero weight, interfering first."""
+        gamma_f = self.fusion_overlap
+        weights = ((False, gamma_f), (True, 1.0 - gamma_f))
+        return tuple(_Branch(self, marked, w) for marked, w in weights if w > 0.0)
 
 
 def _fusion_elements(registry, edges, tags) -> tuple:
@@ -377,27 +397,26 @@ def build_apparatus(config: ExperimentConfig) -> Apparatus:
     )
 
 
-# ---- Compiled fusion optics ----
+# ---- Fusion branches ----
 
 
-def _branch_optics(apparatus: Apparatus, marked: bool):
-    """(registry, fusion then compensator elements) of one branch."""
-    if marked:
-        return apparatus.marked_registry, (
-            apparatus.marked_fusion_elements + apparatus.marked_compensator_elements
-        )
-    return apparatus.plain_registry, (
-        apparatus.fusion_elements + apparatus.compensator_elements
-    )
-
-
-def _branch_labels(apparatus: Apparatus, marked: bool) -> list:
-    """The branch mode of each tagged source mode, in source-registry order.
+def _compile_fusion(apparatus: Apparatus, registry, optics, marked: bool) -> tuple:
+    """Per tagged source mode: (index in the branch registry after the
+    fusion optics, phase), or None for a mode that is never occupied.
 
     A source's narrowband photons leave on arm_a and its broadband ones on
-    arm_b, so the other tag of each arm is never occupied and maps to None.
-    The interfering branch drops the tag; the distinguishable branch
-    replaces it with the mark of the arm's source.
+    arm_b, so the other tag of each arm is never occupied. An occupied mode
+    enters the interfering branch untagged and the distinguishable branch
+    with the mark of its arm's source.
+
+    Polarizing splitters and phase plates send each a+_j to phi_j a+_pi(j)
+    with pi a bijection, so a term moves by permuting its occupation and
+    multiplying its amplitude by prod_j phi_j^n_j. pi and phi are read off
+    by pushing the one-photon state of each occupied branch mode through
+    the branch's elements; optics that split or scale a photon raise
+    ValueError. A photon meets only the elements acting on a mode it
+    occupies, since apply_element passes every other term through as it
+    is.
     """
     own = {}
     mark = {}
@@ -405,31 +424,14 @@ def _branch_labels(apparatus: Apparatus, marked: bool) -> list:
         own[source.arm_a] = TAG_NARROW
         own[source.arm_b] = TAG_BROAD
         mark[source.arm_a] = mark[source.arm_b] = f"m{i + 1}"
-    return [
-        ModeLabel(lab.arm, lab.pol, mark[lab.arm] if marked else "")
-        if lab.tag == own.get(lab.arm)
-        else None
-        for lab in apparatus.registry
-    ]
-
-
-def _compile_fusion(apparatus: Apparatus, marked: bool) -> tuple:
-    """Per tagged source mode: (branch mode index after the fusion optics,
-    phase), or None for a mode that is never occupied.
-
-    Polarizing splitters and phase plates send each a+_j to phi_j a+_pi(j)
-    with pi a bijection, so a term moves by permuting its occupation and
-    multiplying its amplitude by prod_j phi_j^n_j. pi and phi are read off
-    by pushing every one-photon state of the branch registry through the
-    branch's elements; optics that split or scale a photon raise
-    ValueError. A photon meets only the elements acting on a mode it
-    occupies, since apply_element passes every other term through as it
-    is.
-    """
-    registry, optics = _branch_optics(apparatus, marked)
     width = len(registry)
     image = []
-    for i, label in enumerate(registry):
+    for lab in apparatus.registry:
+        if lab.tag != own.get(lab.arm):
+            image.append(None)
+            continue
+        label = ModeLabel(lab.arm, lab.pol, mark[lab.arm] if marked else "")
+        i = registry.index(label)
         occ = [0] * width
         occ[i] = 1
         state = AmplitudeState(registry, {tuple(occ): 1.0 + 0j}, 1)
@@ -448,28 +450,92 @@ def _compile_fusion(apparatus: Apparatus, marked: bool) -> tuple:
         if abs(abs(phase) - 1.0) > UNITARITY_TOL:
             raise ValueError(f"fusion optics scale mode {label} by {abs(phase)}")
         image.append((out.index(1), phase))
-    return tuple(
-        None if lab is None else image[registry.index(lab)]
-        for lab in _branch_labels(apparatus, marked)
-    )
+    return tuple(image)
 
 
-def _branches(apparatus: Apparatus) -> list:
-    """(marked?, weight) of each fusion branch with a nonzero weight."""
-    gamma_f = apparatus.fusion_overlap
-    return [
-        (marked, w) for marked, w in ((False, gamma_f), (True, 1.0 - gamma_f)) if w > 0.0
-    ]
+class _Branch:
+    """One fusion branch: its weight, its fusion optics compiled from its
+    own elements, and where its photons sit, arm by arm.
 
+    The interfering branch (weight gamma_f) lives on plain arm and
+    polarization modes. In the distinguishable branch (weight 1 - gamma_f)
+    every mode also carries the mark of its photon's source, so photons
+    from different sources never interfere.
 
-def _fusion_maps(apparatus: Apparatus) -> dict:
-    """{marked?: compiled fusion map} of the weighted branches, compiled on
-    first use."""
-    maps = apparatus._compiled.get("fusion")
-    if maps is None:
-        maps = {marked: _compile_fusion(apparatus, marked) for marked, _ in _branches(apparatus)}
-        apparatus._compiled["fusion"] = maps
-    return maps
+    An arm's local occupation lists its (H, V) photon numbers per tag,
+    tags in registry order; one tag's (H, V) pair is a slot. Two memos
+    fill as settings are computed, since neither depends on the setting:
+    firing probabilities per joint plus count, which depend on the
+    detector efficiency alone, and a slot's analyzer amplitudes per
+    (angle, h, v), shared by every setting, arm and slot at that angle.
+    """
+
+    def __init__(self, apparatus: Apparatus, marked: bool, weight: float):
+        if marked:
+            registry = apparatus.marked_registry
+            optics = apparatus.marked_fusion_elements + apparatus.marked_compensator_elements
+        else:
+            registry = apparatus.plain_registry
+            optics = apparatus.fusion_elements + apparatus.compensator_elements
+        self.weight = weight
+        self.registry = registry
+        self.image = _compile_fusion(apparatus, registry, optics, marked)
+        self.arms = apparatus.output_arms
+        self.tags = tuple(dict.fromkeys(lab.tag for lab in registry))
+        self.miss = 1.0 - apparatus.detector_efficiency
+        self.modes = tuple(
+            tuple(
+                registry.index(ModeLabel(arm, pol, tag))
+                for tag in self.tags
+                for pol in ("H", "V")
+            )
+            for arm in self.arms
+        )
+        self._getters = [operator.itemgetter(*modes) for modes in self.modes]
+        self._weights: dict = {}
+        self._columns: dict = {}
+
+    def supported(self, terms: dict) -> list:
+        """[(local occupations, amplitude)] of the terms with a photon in
+        every arm, the only ones that can fire every arm."""
+        getters = self._getters
+        out = []
+        for occ, amp in terms.items():
+            local = tuple([get(occ) for get in getters])
+            if all(map(any, local)):
+                out.append((local, amp))
+        return out
+
+    def weights(self, ns: tuple) -> np.ndarray:
+        """Firing probabilities per joint plus count of an arm's slots holding
+        ns photons, shape (prod(n+1), 2)."""
+        hit = self._weights.get(ns)
+        if hit is None:
+            total = sum(ns)
+            hit = self._weights[ns] = np.array(
+                [
+                    _firing(sum(ps), total - sum(ps), self.miss)
+                    for ps in itertools.product(*(range(n + 1) for n in ns))
+                ]
+            )
+        return hit
+
+    def column(self, arm: int, slot: int, theta: float, h: int, v: int) -> dict:
+        """{p: <p +, (h+v-p) -| analyzer |h H, v V>} of one slot, read off
+        the branch's own analyzer element with apply_element."""
+        key = (theta, h, v)
+        col = self._columns.get(key)
+        if col is None:
+            modes = self.modes[arm][slot : slot + 2]
+            occ = [0] * len(self.registry)
+            occ[modes[0]], occ[modes[1]] = h, v
+            state = AmplitudeState(self.registry, {tuple(occ): 1.0 + 0j}, h + v)
+            element = _analyzer_element(
+                self.registry, self.arms[arm], self.tags[slot // 2], theta
+            )
+            out = apply_element(state, element)
+            col = self._columns[key] = {o[modes[0]]: a for o, a in out.terms.items()}
+        return col
 
 
 def _moved_terms(state: AmplitudeState, image, offset: int) -> list:
@@ -488,47 +554,46 @@ def _moved_terms(state: AmplitudeState, image, offset: int) -> list:
     return out
 
 
-def _members_for_pattern(apparatus: Apparatus, counts):
-    """Yield (weight, terms, marked?) members of one emission pattern after
+def _members(apparatus: Apparatus, patterns):
+    """Yield (weight, terms, branch) members of each emission pattern after
     fusion and compensation; terms maps occupations of the branch registry
     to amplitudes.
 
     The weight of a member is the product of its per-source ensemble
-    weights and the fusion-branch weight; states are unnormalized, so a
-    member's accepted probability is weight times the detection value of
-    its amplitudes. A joint amplitude at or below fock.PRUNE_EPS is
-    dropped, as tensor_product drops it.
+    weights and the branch weight; states are unnormalized, so a member's
+    accepted probability is weight times the detection value of its
+    amplitudes. A joint amplitude at or below fock.PRUNE_EPS is dropped,
+    as tensor_product drops it.
     """
-    branches = _branches(apparatus)
-    maps = _fusion_maps(apparatus)
-    widths = {marked: len(_branch_optics(apparatus, marked)[0]) for marked in maps}
-    per_source = []
-    offset = 0  # the apparatus registry lists each source's modes in turn
-    for source, n in zip(apparatus.sources, counts):
-        per_source.append(
-            [
-                (w, {m: _moved_terms(st, maps[m], offset) for m, _ in branches})
-                for w, st in source_ensemble(source, n)
-            ]
-        )
-        offset += len(source_mode_labels(source))
-    for combo in itertools.product(*per_source):
-        weight = 1.0
-        for w, _ in combo:
-            weight *= w
-        for marked, branch_weight in branches:
-            width = widths[marked]
-            terms = {}
-            for parts in itertools.product(*(moved[marked] for _, moved in combo)):
-                occ = [0] * width
-                amp = 1.0
-                for moves, a in parts:
-                    amp *= a
-                    for dest, n in moves:
-                        occ[dest] = n
-                if abs(amp) > PRUNE_EPS:
-                    terms[tuple(occ)] = amp
-            yield weight * branch_weight, terms, marked
+    branches = apparatus._branches
+    for counts in patterns:
+        per_source = []
+        offset = 0  # the apparatus registry lists each source's modes in turn
+        for source, n in zip(apparatus.sources, counts):
+            per_source.append(
+                [
+                    (w, [_moved_terms(st, b.image, offset) for b in branches])
+                    for w, st in source_ensemble(source, n)
+                ]
+            )
+            offset += len(source_mode_labels(source))
+        for combo in itertools.product(*per_source):
+            weight = 1.0
+            for w, _ in combo:
+                weight *= w
+            for b, branch in enumerate(branches):
+                width = len(branch.registry)
+                terms = {}
+                for parts in itertools.product(*(moved[b] for _, moved in combo)):
+                    occ = [0] * width
+                    amp = 1.0
+                    for moves, a in parts:
+                        amp *= a
+                        for dest, n in moves:
+                            occ[dest] = n
+                    if abs(amp) > PRUNE_EPS:
+                        terms[tuple(occ)] = amp
+                yield weight * branch.weight, terms, branch
 
 
 # ---- Detection ----
@@ -562,110 +627,59 @@ def _firing(n_first: int, n_second: int, miss: float) -> tuple:
     return (1.0 - silent_first) * silent_second, (1.0 - silent_second) * silent_first
 
 
-class _ArmLayout:
-    """Where one branch's photons sit, arm by arm: the part of detection
-    that no analyzer angle changes.
+_PROFILE_BLOCK = 64
 
-    An arm's local occupation lists its (H, V) photon numbers per
-    wavepacket tag, tags in registry order; one tag's (H, V) pair is a
-    slot. Firing probabilities per joint plus count are memoized here,
-    since they depend on the detector efficiency alone.
+
+class _PatternSum:
+    """One setting's accepted-pattern vector, summed class by class.
+
+    A single-term class whose analyzed amplitudes all stay above
+    fock.PRUNE_EPS adds its squared amplitude to its firing profile, the
+    product of its arms' firing probabilities; profiles are summed over
+    the whole stream and expanded once, in vector(). An arm's firing
+    probabilities for a unit amplitude in one local occupation are
+    memoized per branch. Any other class is contracted with the analyzers
+    (_contract). At HV there is no analyzer: the H port is the first.
     """
 
-    def __init__(self, apparatus: Apparatus, marked: bool):
-        registry = apparatus.marked_registry if marked else apparatus.plain_registry
-        self.registry = registry
-        self.arms = apparatus.output_arms
-        self.tags = tuple(dict.fromkeys(lab.tag for lab in registry))
-        self.miss = 1.0 - apparatus.detector_efficiency
-        self.modes = tuple(
-            tuple(
-                registry.index(ModeLabel(arm, pol, tag))
-                for tag in self.tags
-                for pol in ("H", "V")
-            )
-            for arm in self.arms
-        )
-        self._getters = [operator.itemgetter(*modes) for modes in self.modes]
-        self._weights: dict = {}
-
-    def supported(self, terms: dict) -> list:
-        """[(local occupations, amplitude)] of the terms with a photon in
-        every arm, the only ones that can fire every arm."""
-        getters = self._getters
-        out = []
-        for occ, amp in terms.items():
-            local = tuple([get(occ) for get in getters])
-            if all(map(any, local)):
-                out.append((local, amp))
-        return out
-
-    def weights(self, ns: tuple) -> np.ndarray:
-        """Firing probabilities per joint plus count of an arm's slots holding
-        ns photons, shape (prod(n+1), 2)."""
-        hit = self._weights.get(ns)
-        if hit is None:
-            total = sum(ns)
-            hit = self._weights[ns] = np.array(
-                [
-                    _firing(sum(ps), total - sum(ps), self.miss)
-                    for ps in itertools.product(*(range(n + 1) for n in ns))
-                ]
-            )
-        return hit
-
-
-class _ArmDetection:
-    """Analyzers and bucket detectors of one branch under one setting,
-    applied arm by arm.
-
-    A slot's analyzer amplitudes are read off the branch's own analyzer
-    element with apply_element on a one-slot input. They depend on the
-    angle and the input alone, so they are memoized per apparatus and
-    branch by (angle, h, v) and shared by every setting and arm at that
-    angle. Per-arm firing probabilities are memoized per setting. At HV
-    there is no analyzer: the H port is the first.
-    """
-
-    def __init__(self, apparatus: Apparatus, marked: bool, setting: MeasurementSetting):
-        self.layout = _arm_layout(apparatus, marked)
-        self.angles = setting.angles
-        self._columns = apparatus._compiled.setdefault(("columns", marked), {})
+    def __init__(self, n_arms: int, angles):
+        self.n_arms = n_arms
+        self.angles = angles
+        self.contracted = np.zeros(2**n_arms)
+        self.profiles: dict = {}
         self._rows: dict = {}
 
-    def column(self, arm: int, slot: int, h: int, v: int) -> dict:
-        """{p: <p +, (h+v-p) -| analyzer |h H, v V>} of one slot."""
-        theta = self.angles[arm]
-        key = (theta, h, v)
-        col = self._columns.get(key)
-        if col is None:
-            layout = self.layout
-            modes = layout.modes[arm][slot : slot + 2]
-            occ = [0] * len(layout.registry)
-            occ[modes[0]], occ[modes[1]] = h, v
-            state = AmplitudeState(layout.registry, {tuple(occ): 1.0 + 0j}, h + v)
-            element = _analyzer_element(
-                layout.registry, layout.arms[arm], layout.tags[slot // 2], theta
-            )
-            out = apply_element(state, element)
-            col = self._columns[key] = {o[modes[0]]: a for o, a in out.terms.items()}
-        return col
+    def add(self, branch: _Branch, weight: float, classes) -> None:
+        rows = self._rows.get(branch)
+        if rows is None:
+            rows = self._rows[branch] = {}
+        profiles = self.profiles
+        for terms in classes:
+            if len(terms) == 1:
+                local, amp = terms[0]
+                profile = []
+                floor = abs(amp)
+                for a, arm_local in enumerate(local):
+                    key = (a, arm_local)
+                    hit = rows.get(key)
+                    if hit is None:
+                        hit = rows[key] = self._row(branch, a, arm_local)
+                    profile.append(hit[0])
+                    floor *= hit[1]
+                if floor > PRUNE_EPS:
+                    profile = tuple(profile)
+                    profiles[profile] = profiles.get(profile, 0.0) + weight * abs(amp) ** 2
+                    continue
+            self.contracted += weight * self._contract(branch, terms)
 
-    def row(self, arm: int, local: tuple) -> tuple:
+    def _row(self, branch: _Branch, arm: int, local: tuple) -> tuple:
         """((first, second) firing probabilities, smallest analyzed amplitude)
         of one arm for a unit amplitude in one local occupation."""
-        key = (arm, local)
-        hit = self._rows.get(key)
-        if hit is None:
-            hit = self._rows[key] = self._row(arm, local)
-        return hit
-
-    def _row(self, arm: int, local: tuple) -> tuple:
-        miss = self.layout.miss
         if self.angles is None:
-            return _firing(sum(local[0::2]), sum(local[1::2]), miss), 1.0
+            return _firing(sum(local[0::2]), sum(local[1::2]), branch.miss), 1.0
+        theta = self.angles[arm]
         columns = [
-            self.column(arm, t, local[t], local[t + 1])
+            branch.column(arm, t, theta, local[t], local[t + 1])
             for t in range(0, len(local), 2)
             if local[t] + local[t + 1]
         ]
@@ -674,13 +688,13 @@ class _ArmDetection:
         for outs in itertools.product(*(col.items() for col in columns)):
             plus = sum(p for p, _ in outs)
             w = abs(math.prod(a for _, a in outs)) ** 2
-            f_first, f_second = _firing(plus, total - plus, miss)
+            f_first, f_second = _firing(plus, total - plus, branch.miss)
             first += w * f_first
             second += w * f_second
         floor = math.prod(min(abs(a) for a in col.values()) for col in columns)
         return (first, second), floor
 
-    def contract(self, terms) -> np.ndarray:
+    def _contract(self, branch: _Branch, terms) -> np.ndarray:
         """Accepted-pattern vector of one coherence class: [(local, amp)]
         sharing their photon numbers per slot.
 
@@ -701,7 +715,7 @@ class _ArmDetection:
         for axis, (a, t, n) in enumerate(slots):
             u = np.zeros((n + 1, n + 1), dtype=complex)
             for h in range(n + 1):
-                for p, c in self.column(a, t, h, n - h).items():
+                for p, c in branch.column(a, t, self.angles[a], h, n - h).items():
                     u[p, h] = c
             amps = np.moveaxis(np.tensordot(u, amps, axes=([1], [axis])), 0, axis)
             amps[np.abs(amps) <= PRUNE_EPS] = 0.0
@@ -709,67 +723,13 @@ class _ArmDetection:
         per_arm = [tuple(n for b, _, n in slots if b == a) for a in range(len(first))]
         prob = prob.reshape([math.prod(n + 1 for n in ns) for ns in per_arm])
         for ns in per_arm:
-            prob = np.tensordot(prob, self.layout.weights(ns), axes=([0], [0]))
+            prob = np.tensordot(prob, branch.weights(ns), axes=([0], [0]))
         return prob.ravel(order="F")
-
-
-def _arm_layout(apparatus: Apparatus, marked: bool) -> _ArmLayout:
-    key = ("layout", marked)
-    layout = apparatus._compiled.get(key)
-    if layout is None:
-        layout = apparatus._compiled[key] = _ArmLayout(apparatus, marked)
-    return layout
-
-
-def _arm_detection(apparatus: Apparatus, marked: bool, setting: MeasurementSetting):
-    key = ("detection", marked, setting.angles)
-    det = apparatus._compiled.get(key)
-    if det is None:
-        det = apparatus._compiled[key] = _ArmDetection(apparatus, marked, setting)
-    return det
-
-
-_PROFILE_BLOCK = 64
-
-
-class _PatternSum:
-    """One setting's accepted-pattern vector, summed class by class.
-
-    A single-term class whose analyzed amplitudes all stay above
-    fock.PRUNE_EPS adds its squared amplitude to its firing profile, the
-    product of its arms' firing probabilities; profiles are summed over
-    the whole stream and expanded once, in vector(). Any other class is
-    contracted with the analyzers (_ArmDetection.contract).
-    """
-
-    def __init__(self, apparatus: Apparatus, setting: MeasurementSetting):
-        self.apparatus = apparatus
-        self.setting = setting
-        self.contracted = np.zeros(2**apparatus.n_arms)
-        self.profiles: dict = {}
-
-    def add(self, marked: bool, weight: float, classes) -> None:
-        det = _arm_detection(self.apparatus, marked, self.setting)
-        profiles = self.profiles
-        for terms in classes:
-            if len(terms) == 1:
-                local, amp = terms[0]
-                rows = []
-                floor = abs(amp)
-                for a, arm_local in enumerate(local):
-                    row, arm_floor = det.row(a, arm_local)
-                    rows.append(row)
-                    floor *= arm_floor
-                if floor > PRUNE_EPS:
-                    profile = tuple(rows)
-                    profiles[profile] = profiles.get(profile, 0.0) + weight * abs(amp) ** 2
-                    continue
-            self.contracted += weight * det.contract(terms)
 
     def vector(self) -> np.ndarray:
         """The summed vector: the profiles expanded into the contracted
         classes' sum, in place, so called once after the last add."""
-        n_arms = self.apparatus.n_arms
+        n_arms = self.n_arms
         vector = self.contracted
         rows = np.array(list(self.profiles)).reshape(-1, n_arms, 2)
         weights = np.fromiter(self.profiles.values(), float, len(self.profiles))
@@ -785,28 +745,29 @@ class _PatternSum:
 
 def _pattern_vectors(apparatus: Apparatus, members, settings) -> list:
     """Per-pulse probabilities of the 2^n accepted patterns under each
-    setting, summed over one stream of (weight, terms, marked?) members.
+    setting, summed over one stream of (weight, terms, branch) members.
 
     Only terms with a photon in every arm can fire every arm. They are
     grouped into coherence classes, the terms an analyzer can mix: at a
     rotated setting the terms with equal photon numbers per (arm, tag)
     slot, at HV each term alone. Neither the supported terms nor the
     classes depend on the angles, so each member is split once and only
-    the analyzer and detector reduction (_PatternSum) runs per setting.
+    the analyzer and detector reduction (one _PatternSum per setting)
+    runs per setting.
 
     The vectors are indexed with the first arm varying fastest, the
     reverse of the order all_detection_patterns labels. This is a known
     defect kept so that recorded benchmark distributions still match.
     """
-    sums = [_PatternSum(apparatus, setting) for setting in settings]
-    hv = [s for s in sums if s.setting.angles is None]
-    rotated = [s for s in sums if s.setting.angles is not None]
-    for weight, terms, marked in members:
-        supported = _arm_layout(apparatus, marked).supported(terms)
+    sums = [_PatternSum(apparatus.n_arms, setting.angles) for setting in settings]
+    hv = [s for s in sums if s.angles is None]
+    rotated = [s for s in sums if s.angles is not None]
+    for weight, terms, branch in members:
+        supported = branch.supported(terms)
         if hv:
             singles = [[term] for term in supported]
             for s in hv:
-                s.add(marked, weight, singles)
+                s.add(branch, weight, singles)
         if rotated:
             classes: dict = {}
             for term in supported:
@@ -814,14 +775,8 @@ def _pattern_vectors(apparatus: Apparatus, members, settings) -> list:
                 classes.setdefault(key, []).append(term)
             grouped = list(classes.values())
             for s in rotated:
-                s.add(marked, weight, grouped)
+                s.add(branch, weight, grouped)
     return [s.vector() for s in sums]
-
-
-def _pattern_vector(apparatus: Apparatus, members, setting: MeasurementSetting):
-    """_pattern_vectors under one setting."""
-    (vector,) = _pattern_vectors(apparatus, members, [setting])
-    return vector
 
 
 def absolute_outcome_distributions(apparatus: Apparatus, settings) -> list:
@@ -846,12 +801,12 @@ def absolute_outcome_distributions(apparatus: Apparatus, settings) -> list:
         if key not in cache:
             todo.setdefault(key, setting)
     if todo:
-        members = (
-            member
+        patterns = (
+            counts
             for order in range(apparatus.truncation_pairs + 1)
             for counts in admitted_patterns(apparatus.topology, order)
-            for member in _members_for_pattern(apparatus, counts)
         )
+        members = _members(apparatus, patterns)
         vectors = _pattern_vectors(apparatus, members, list(todo.values()))
         for (key, setting), vector in zip(todo.items(), vectors):
             patterns = _detection_patterns(apparatus.n_arms, setting.symbols)
@@ -905,8 +860,8 @@ def emission_pattern_probability(apparatus: Apparatus, pairs_per_source) -> floa
         raise ValueError("negative pair count")
     if sum(counts) > apparatus.truncation_pairs:
         raise ValueError("pattern exceeds the pair truncation")
-    members = _members_for_pattern(apparatus, counts)
-    return float(_pattern_vector(apparatus, members, hv_setting()).sum())
+    (vector,) = _pattern_vectors(apparatus, _members(apparatus, [counts]), [hv_setting()])
+    return float(vector.sum())
 
 
 # ---- Overlap calibration ----

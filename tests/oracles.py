@@ -355,7 +355,7 @@ def detection_vector(state, weight, groups, xi, vector) -> None:
 
 def pattern_vector(apparatus, members, setting) -> np.ndarray:
     """Accepted-pattern probabilities of a stream of members from
-    members_for_pattern, in the order experiment._pattern_vector keeps."""
+    members_for_pattern, in the order experiment._pattern_vectors keeps."""
     registries = {False: apparatus.plain_registry, True: apparatus.marked_registry}
     groups = {m: arm_groups(reg, apparatus.output_arms) for m, reg in registries.items()}
     analyzers = {

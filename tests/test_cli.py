@@ -241,6 +241,17 @@ def test_simulate_assembles_the_ensemble_once_per_plan(tmp_path, monkeypatch, fl
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_default_plan_fits_the_source_count(tmp_path, count):
+    # a config without run.settings gets the witness plan for 2*count arms
+    path = tmp_path / "config.json"
+    out = tmp_path / "out"
+    path.write_text(json.dumps({"sources": {"count": count}}))
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert len(list(out.glob("*.csv"))) == 1 + 2 * count
+    assert main(["analyze", str(out), "--config", str(path)]) == 0
+
+
 # ---- analyze ----
 
 

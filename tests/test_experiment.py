@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from oracles import beamsplitter_matrix
 from oracles import outcome_distribution as oracle_distribution
+from photonfusion import experiment
 from photonfusion.config import ConfigError, config_from_dict, config_to_dict, default_config
 from photonfusion.experiment import (
     Apparatus,
     CoincidenceHistogram,
     DetectionPattern,
     MeasurementSetting,
-    _pattern_vector,
+    _pattern_vectors,
     absolute_outcome_distribution,
     absolute_outcome_distributions,
     all_detection_patterns,
@@ -104,8 +105,15 @@ def test_angle_outside_range_rejected():
 def test_setting_from_label_round_trip():
     assert setting_from_label("HV") == hv_setting()
     assert setting_from_label("k6", 4) == k_setting(6, 4)
+    custom = angle_setting([0.1, 1e-05, 2 / 3, 6.0])
+    assert "," not in custom.label
+    assert setting_from_label(custom.label, 4) == custom
     with pytest.raises(ValueError, match="setting"):
         setting_from_label("diag")
+    with pytest.raises(ValueError, match="setting"):
+        setting_from_label("angles:0.1;x", 2)
+    with pytest.raises(ValueError, match="arms"):
+        setting_from_label(custom.label, 8)
 
 
 # ---- Patterns and histograms ----
@@ -352,6 +360,14 @@ def test_replaced_apparatus_recomputes_its_distributions():
     expected = absolute_outcome_distribution(fresh, hv_setting())
     assert sum(expected.values()) > 10 * sum(dim.values())
     assert absolute_outcome_distribution(bright, hv_setting()) == expected
+    # overlap 1.0 has no distinguishable branch; 0.5 has both
+    app = assemble_apparatus(star_topology(2), pair_probability=0.05, fusion_overlap=1.0)
+    coherent = absolute_outcome_distribution(app, k_setting(0, 4))
+    mixed = dataclasses.replace(app, fusion_overlap=0.5)
+    fresh = assemble_apparatus(star_topology(2), pair_probability=0.05, fusion_overlap=0.5)
+    expected = absolute_outcome_distribution(fresh, k_setting(0, 4))
+    assert expected != coherent
+    assert absolute_outcome_distribution(mixed, k_setting(0, 4)) == expected
 
 
 # ---- Distinguishability knobs ----
@@ -577,6 +593,19 @@ def test_monte_carlo_settings_draw_independent_streams(bright_pair):
     ]
 
 
+def test_monte_carlo_custom_angles_draw_independent_streams(bright_pair):
+    # the fused pair's distribution depends on the sum of the angles only,
+    # so equal counts here would mean one stream for both settings
+    first = angle_setting([0.1, 0.2, 0.3, 0.4])
+    second = angle_setting([0.4, 0.3, 0.2, 0.1])
+    assert absolute_outcome_distribution(bright_pair, first) == (
+        absolute_outcome_distribution(bright_pair, second)
+    )
+    a = monte_carlo_counts(bright_pair, first, 10.0, seed=7)
+    b = monte_carlo_counts(bright_pair, second, 10.0, seed=7)
+    assert a.counts != b.counts
+
+
 def test_monte_carlo_duration_validated(bright_pair):
     with pytest.raises(ValueError, match="duration"):
         monte_carlo_counts(bright_pair, hv_setting(), 0.0, seed=1)
@@ -613,6 +642,12 @@ def test_histogram_lines_round_trip(bright_pair):
     back = histogram_from_lines(lines)
     assert back == hist
     assert histogram_to_lines(back) == lines
+
+
+def test_custom_angle_histogram_round_trip(bright_pair):
+    hist = monte_carlo_counts(bright_pair, angle_setting([0.1, 0.2, 0.3, 0.4]), 3.0, seed=1)
+    lines = histogram_to_lines(hist)
+    assert histogram_from_lines(lines) == hist
 
 
 def test_histogram_rows_sorted(bright_pair):
@@ -761,6 +796,22 @@ def test_non_monomial_fusion_optics_raise():
         absolute_outcome_distribution(broken, hv_setting())
 
 
+def test_fusion_compile_pushes_only_occupied_modes(monkeypatch):
+    # default star: 16 plain modes and 64 marked ones, of which a source
+    # photon can occupy 16; 12 of those meet one splitter, one the plate
+    calls = []
+
+    def counted(state, element):
+        calls.append(element.name)
+        return apply_element(state, element)
+
+    monkeypatch.setattr(experiment, "apply_element", counted)
+    app = build_apparatus(default_config())
+    absolute_outcome_distribution(app, hv_setting())
+    assert len(calls) == 2 * (12 + 1)
+    assert sum(name.startswith("fuse-") for name in calls) == 2 * 12
+
+
 def single_term_distribution(app, bits):
     """Hand-built member: one photon per arm, polarizations from bits,
     detected at HV with unit efficiency."""
@@ -768,8 +819,8 @@ def single_term_distribution(app, bits):
     occ = [0] * len(registry)
     for arm, pol in zip(app.output_arms, bits):
         occ[registry.index(ModeLabel(arm, pol))] = 1
-    member = (1.0, {tuple(occ): 1.0 + 0j}, False)
-    vector = _pattern_vector(app, [member], hv_setting())
+    member = (1.0, {tuple(occ): 1.0 + 0j}, app._branches[0])
+    (vector,) = _pattern_vectors(app, [member], [hv_setting()])
     return dict(zip((p.bits for p in all_detection_patterns(app.n_arms)), vector))
 
 
@@ -784,7 +835,7 @@ def test_single_term_fires_its_own_detectors():
 @pytest.mark.xfail(
     strict=True,
     reason=(
-        "_pattern_vector indexes the first arm fastest, the reverse of "
+        "_pattern_vectors indexes the first arm fastest, the reverse of "
         "all_detection_patterns; perfbench/refs/multipair_hv.json was recorded "
         "in that order, so the fix waits for a benchmark change that re-records it"
     ),
