@@ -52,7 +52,7 @@ apparatus = assemble_apparatus(
 # probabilities stand in for counts, since the estimators use count ratios.
 settings = [hv_setting()] + [k_setting(k) for k in range(8)]
 histograms = [
-    CoincidenceHistogram(setting, dist, 3600.0, 0)
+    CoincidenceHistogram(setting, dist, 3600.0, 0, exact=True)
     for setting, dist in zip(settings, absolute_outcome_distributions(apparatus, settings))
 ]
 

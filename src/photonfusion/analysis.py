@@ -103,9 +103,12 @@ def poisson_propagate(linear_form, hist: CoincidenceHistogram) -> float:
 
     First-order propagation with each count Poissonian; the (c_i − f)
     form carries the anticorrelation from normalizing by the total, so a
-    coefficient pattern the histogram already saturates gives zero.
+    coefficient pattern the histogram already saturates gives zero. An
+    exact histogram has no counting error, so it gives zero too.
     """
     counts, total = _counts_and_total(hist)
+    if hist.exact:
+        return 0.0
     if callable(linear_form):
         coeff = {pat: float(linear_form(pat)) for pat in counts}
     else:

@@ -75,17 +75,13 @@ def _load_config(args):
     return load_config(args.config)
 
 
-def _out_dir(args, config) -> Path:
-    return Path(args.out if args.out is not None else config.output.directory)
-
-
 # ---- Subcommands ----
 
 
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     apparatus = build_apparatus(config)
-    out_dir = _out_dir(args, config)
+    out_dir = Path(args.out or config.output.directory)
     seed = config.run.seed if args.seed is None else args.seed
     settings = [setting_from_label(label, apparatus.n_arms) for label in config.run.settings]
     # one pass over the emission ensemble fills the apparatus's cache with
@@ -99,7 +95,7 @@ def cmd_simulate(args) -> int:
                 raise InternalCheckError(
                     f"exact distribution for {label} does not close"
                 )
-            hist = CoincidenceHistogram(setting, dist, duration_s, seed)
+            hist = CoincidenceHistogram(setting, dist, duration_s, seed, exact=True)
         else:
             hist = monte_carlo_counts(apparatus, setting, duration_s, seed)
         path = out_dir / f"{label}.csv"
@@ -110,7 +106,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     config = _load_config(args)
-    directory = Path(args.directory) if args.directory else _out_dir(args, config)
+    directory = Path(args.directory or config.output.directory)
     labels = config.run.settings
     paths = {label: directory / f"{label}.csv" for label in labels}
     missing = [str(p) for p in paths.values() if not p.exists()]
@@ -233,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="assemble the witness report from histograms")
     p.add_argument("directory", nargs="?", help="histogram directory")
     p.add_argument("--config", type=Path, help="experiment config file")
-    p.add_argument("--out", type=Path, help="directory holding the histograms")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("topology", help="enumerate noise terms of a fusion layout")

@@ -32,7 +32,7 @@ import math
 import operator
 import typing
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -207,6 +207,8 @@ class CoincidenceHistogram:
     counts: dict
     duration_s: float
     seed: int
+    # the counts are exact probabilities, which carry no counting error
+    exact: bool = False
 
     def __post_init__(self):
         widths = {len(p.bits) for p in self.counts}
@@ -227,39 +229,57 @@ class CoincidenceHistogram:
 
 @dataclass(frozen=True)
 class Apparatus:
-    """The assembled interferometer plus its detection parameters.
+    """The interferometer and its detection, as exactly its seven inputs.
 
-    registry holds the tagged source modes (8 per source). The fusion
-    and compensation optics are kept both over plain arm/polarization
-    modes (interfering branch) and over source-marked modes (the
-    distinguishable branch); both describe the same physical elements.
-
-    Two private memos fill on the first distribution call: computed
-    distributions per setting, and _branches, one _Branch per fusion
-    branch of nonzero weight holding what is compiled from its elements.
-    Neither takes part in equality, and dataclasses.replace starts both
-    empty, since a replaced field can change any of them.
+    Everything else is derived from the inputs on first use and memoized
+    (functools.cached_property): the sources, the tagged source modes
+    (registry, 8 per source), the fusion and compensation optics over
+    plain arm/polarization modes (interfering branch) and over
+    source-marked modes (distinguishable branch), the fusion branches
+    and the computed distributions per setting. Equality and hashing see
+    the inputs alone, and dataclasses.replace re-checks its inputs and
+    derives everything afresh, so it is the way to sweep a parameter.
     """
 
     topology: FusionTopology
-    sources: tuple
+    pair_probability: float
+    synthesizer_overlap: float
     fusion_overlap: float
     detector_efficiency: float
     repetition_rate_hz: float
     truncation_pairs: int
-    registry: ModeRegistry
-    output_arms: tuple
-    compensator_phase: float
-    fusion_elements: tuple
-    plain_registry: ModeRegistry = field(repr=False)
-    marked_registry: ModeRegistry = field(repr=False)
-    marked_fusion_elements: tuple = field(repr=False)
-    compensator_elements: tuple = field(repr=False)
-    marked_compensator_elements: tuple = field(repr=False)
-    # memo for computed outcome distributions; keyed by setting
-    _distribution_cache: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+
+    def __post_init__(self):
+        if not 0.0 <= self.fusion_overlap <= 1.0:
+            raise ValueError("fusion_overlap must lie in [0, 1]")
+        if not 0.0 < self.detector_efficiency <= 1.0:
+            raise ValueError("detector_efficiency must lie in (0, 1]")
+        if self.repetition_rate_hz <= 0:
+            raise ValueError("repetition rate must be positive")
+        if self.truncation_pairs < 1:
+            raise ValueError("truncation_pairs must be at least 1")
+        self.sources  # PdcSource checks the pair probability and overlap
+
+    @functools.cached_property
+    def sources(self) -> tuple:
+        return tuple(
+            PdcSource(
+                arm_a=arm_a,
+                arm_b=arm_b,
+                pair_amplitude=math.sqrt(self.pair_probability),
+                spectral_overlap=self.synthesizer_overlap,
+                truncation_pairs=self.truncation_pairs,
+            )
+            for arm_a, arm_b in self.topology.sources
+        )
+
+    @functools.cached_property
+    def registry(self) -> ModeRegistry:
+        return registry_from([lab for s in self.sources for lab in source_mode_labels(s)])
+
+    @functools.cached_property
+    def output_arms(self) -> tuple:
+        return tuple(sorted(self.topology.arms))
 
     @property
     def n_arms(self) -> int:
@@ -269,6 +289,44 @@ class Apparatus:
     def n_detectors(self) -> int:
         return 2 * self.n_arms
 
+    @property
+    def compensator_phase(self) -> float:
+        """Phase that realigns the all-V fused amplitude with the all-H one.
+
+        Exact from the wiring alone: every source emits HH and VV in phase,
+        a polarizing splitter passes H untouched and reflects V with phase
+        i, and in the one-photon-per-arm all-V term each splitter reflects
+        one V photon from each of its two arms. So the all-V amplitude
+        trails the all-H one by (-1)^(number of fusions); the compensator
+        plate on the first arm's V modes cancels that.
+        """
+        return math.pi if len(self.topology.fusion_edges) % 2 else 0.0
+
+    @functools.cached_property
+    def plain_registry(self) -> ModeRegistry:
+        return _arm_registry(self.output_arms, ("",))
+
+    @functools.cached_property
+    def marked_registry(self) -> ModeRegistry:
+        marks = tuple(f"m{i + 1}" for i in range(len(self.sources)))
+        return _arm_registry(self.output_arms, marks)
+
+    @functools.cached_property
+    def fusion_elements(self) -> tuple:
+        return _fusion_elements(self, self.plain_registry)
+
+    @functools.cached_property
+    def marked_fusion_elements(self) -> tuple:
+        return _fusion_elements(self, self.marked_registry)
+
+    @functools.cached_property
+    def compensator_elements(self) -> tuple:
+        return _phase_elements(self, self.plain_registry)
+
+    @functools.cached_property
+    def marked_compensator_elements(self) -> tuple:
+        return _phase_elements(self, self.marked_registry)
+
     @functools.cached_property
     def _branches(self) -> tuple:
         """The fusion branches of nonzero weight, interfering first."""
@@ -276,39 +334,38 @@ class Apparatus:
         weights = ((False, gamma_f), (True, 1.0 - gamma_f))
         return tuple(_Branch(self, marked, w) for marked, w in weights if w > 0.0)
 
+    @functools.cached_property
+    def _distribution_cache(self) -> dict:
+        """Computed outcome distributions, keyed by setting."""
+        return {}
 
-def _fusion_elements(registry, edges, tags) -> tuple:
+
+def _arm_registry(arms, tags) -> ModeRegistry:
+    return registry_from(
+        [ModeLabel(arm, pol, tag) for arm in arms for pol in ("H", "V") for tag in tags]
+    )
+
+
+def _tags(registry) -> tuple:
+    return tuple(dict.fromkeys(lab.tag for lab in registry))
+
+
+def _fusion_elements(apparatus: Apparatus, registry) -> tuple:
     els = []
-    for x, y in edges:
-        for tag in tags:
+    for x, y in apparatus.topology.fusion_edges:
+        for tag in _tags(registry):
             labels = [ModeLabel(a, pol, tag) for a in (x, y) for pol in ("H", "V")]
             els.append(element_on(registry, labels, pbs_matrix(), f"fuse-{x}-{y}"))
     return tuple(els)
 
 
-def _phase_elements(registry, arm, phase, tags) -> tuple:
+def _phase_elements(apparatus: Apparatus, registry) -> tuple:
+    arm = apparatus.output_arms[0]
+    plate = phase_matrix(apparatus.compensator_phase)
     return tuple(
-        element_on(
-            registry,
-            [ModeLabel(arm, "V", tag)],
-            phase_matrix(phase),
-            f"compensator-{arm}",
-        )
-        for tag in tags
+        element_on(registry, [ModeLabel(arm, "V", tag)], plate, f"compensator-{arm}")
+        for tag in _tags(registry)
     )
-
-
-def _compensator_phase(topology: FusionTopology) -> float:
-    """Phase that realigns the all-V fused amplitude with the all-H one.
-
-    Exact from the wiring alone: every source emits HH and VV in phase,
-    a polarizing splitter passes H untouched and reflects V with phase i,
-    and in the one-photon-per-arm all-V term each splitter reflects one V
-    photon from each of its two arms. So the all-V amplitude trails the
-    all-H one by (-1)^(number of fusions); the compensator plate on the
-    first arm's V modes cancels that.
-    """
-    return math.pi if len(topology.fusion_edges) % 2 else 0.0
 
 
 def assemble_apparatus(
@@ -326,61 +383,16 @@ def assemble_apparatus(
     truncation_pairs bounds the total pair count across all sources;
     the default resolves exactly the wanted one-pair-per-source events.
     """
-    if not 0.0 <= fusion_overlap <= 1.0:
-        raise ValueError("fusion_overlap must lie in [0, 1]")
-    if not 0.0 < detector_efficiency <= 1.0:
-        raise ValueError("detector_efficiency must lie in (0, 1]")
-    if repetition_rate_hz <= 0:
-        raise ValueError("repetition rate must be positive")
-    total = truncation_pairs if truncation_pairs is not None else topology.n_sources
-    if total < 1:
-        raise ValueError("truncation_pairs must be at least 1")
-    sources = tuple(
-        PdcSource(
-            arm_a=arm_a,
-            arm_b=arm_b,
-            pair_amplitude=math.sqrt(pair_probability),
-            spectral_overlap=synthesizer_overlap,
-            truncation_pairs=total,
-        )
-        for arm_a, arm_b in topology.sources
-    )
-    registry = registry_from([lab for s in sources for lab in source_mode_labels(s)])
-    output_arms = tuple(sorted(arm for pair in topology.sources for arm in pair))
-    plain_registry = registry_from(
-        [ModeLabel(arm, pol, "") for arm in output_arms for pol in ("H", "V")]
-    )
-    marks = tuple(f"m{i + 1}" for i in range(len(sources)))
-    marked_registry = registry_from(
-        [
-            ModeLabel(arm, pol, mark)
-            for arm in output_arms
-            for pol in ("H", "V")
-            for mark in marks
-        ]
-    )
-    fusion_elements = _fusion_elements(plain_registry, topology.fusion_edges, ("",))
-    marked_fusion = _fusion_elements(marked_registry, topology.fusion_edges, marks)
-    phase = _compensator_phase(topology)
-    first_arm = output_arms[0]
+    if truncation_pairs is None:
+        truncation_pairs = topology.n_sources
     return Apparatus(
         topology=topology,
-        sources=sources,
+        pair_probability=pair_probability,
+        synthesizer_overlap=synthesizer_overlap,
         fusion_overlap=fusion_overlap,
         detector_efficiency=detector_efficiency,
         repetition_rate_hz=repetition_rate_hz,
-        truncation_pairs=total,
-        registry=registry,
-        output_arms=output_arms,
-        compensator_phase=phase,
-        fusion_elements=fusion_elements,
-        plain_registry=plain_registry,
-        marked_registry=marked_registry,
-        marked_fusion_elements=marked_fusion,
-        compensator_elements=_phase_elements(plain_registry, first_arm, phase, ("",)),
-        marked_compensator_elements=_phase_elements(
-            marked_registry, first_arm, phase, marks
-        ),
+        truncation_pairs=truncation_pairs,
     )
 
 
@@ -481,7 +493,7 @@ class _Branch:
         self.registry = registry
         self.image = _compile_fusion(apparatus, registry, optics, marked)
         self.arms = apparatus.output_arms
-        self.tags = tuple(dict.fromkeys(lab.tag for lab in registry))
+        self.tags = _tags(registry)
         self.miss = 1.0 - apparatus.detector_efficiency
         self.modes = tuple(
             tuple(
@@ -610,11 +622,10 @@ def _analyzer_elements(registry, output_arms, setting: MeasurementSetting):
     the element-by-element reference engine applies the whole list."""
     if setting.angles is None:
         return ()
-    tags = tuple(dict.fromkeys(lab.tag for lab in registry))
     return tuple(
         _analyzer_element(registry, arm, tag, theta)
         for arm, theta in zip(output_arms, setting.angles)
-        for tag in tags
+        for tag in _tags(registry)
     )
 
 
@@ -880,29 +891,6 @@ def parity_visibility(apparatus: Apparatus) -> float:
     return sum(((-1) ** pat.count("-")) * p for pat, p in dist.items())
 
 
-def _synthesizer_apparatus(overlap, pair_probability, efficiency, truncation_pairs):
-    return assemble_apparatus(
-        single_source_topology(),
-        pair_probability=pair_probability,
-        synthesizer_overlap=overlap,
-        detector_efficiency=efficiency,
-        truncation_pairs=truncation_pairs,
-    )
-
-
-def _fusion_apparatus(
-    fusion_overlap, synthesizer_overlap, pair_probability, efficiency, truncation_pairs
-):
-    return assemble_apparatus(
-        star_topology(2),
-        pair_probability=pair_probability,
-        synthesizer_overlap=synthesizer_overlap,
-        fusion_overlap=fusion_overlap,
-        detector_efficiency=efficiency,
-        truncation_pairs=truncation_pairs,
-    )
-
-
 def synthesizer_visibility(
     overlap: float,
     *,
@@ -916,7 +904,13 @@ def synthesizer_visibility(
     overlap whenever truncation_pairs > 1.
     """
     return parity_visibility(
-        _synthesizer_apparatus(overlap, pair_probability, efficiency, truncation_pairs)
+        assemble_apparatus(
+            single_source_topology(),
+            pair_probability=pair_probability,
+            synthesizer_overlap=overlap,
+            detector_efficiency=efficiency,
+            truncation_pairs=truncation_pairs,
+        )
     )
 
 
@@ -932,18 +926,22 @@ def fusion_visibility(
     at running power: the simulated analog of the alignment interference
     check between independent photons."""
     return parity_visibility(
-        _fusion_apparatus(
-            fusion_overlap, synthesizer_overlap, pair_probability, efficiency,
-            truncation_pairs,
+        assemble_apparatus(
+            star_topology(2),
+            pair_probability=pair_probability,
+            synthesizer_overlap=synthesizer_overlap,
+            fusion_overlap=fusion_overlap,
+            detector_efficiency=efficiency,
+            truncation_pairs=truncation_pairs,
         )
     )
 
 
-def _solve_overlap(build, target: float) -> float:
-    """The overlap g in [0, 1] at which build(g) shows parity visibility
-    target, given V(g) = a(g)/c(g) with a and c linear in g."""
+def _solve_overlap(apparatus: Apparatus, overlap: str, target: float) -> float:
+    """The value g in [0, 1] of the named overlap at which the apparatus
+    shows parity visibility target, V(g) = a(g)/c(g), a and c linear in g."""
     ends = []
-    for app in (build(0.0), build(1.0)):
+    for app in (replace(apparatus, **{overlap: g}) for g in (0.0, 1.0)):
         accepted = absolute_outcome_distribution(app, k_setting(0, app.n_arms))
         ends.append((parity_visibility(app), sum(accepted.values())))
     (v0, c0), (v1, c1) = ends
@@ -979,14 +977,17 @@ def calibrate_overlaps(
     a(g) = target * c(g) is solved from the apparatus at g = 0 and 1. A
     target outside [V(0), V(1)] raises.
     """
-    gs = _solve_overlap(
-        lambda g: _synthesizer_apparatus(g, pair_probability, efficiency, 2),
-        synthesizer_target,
+    single = assemble_apparatus(
+        single_source_topology(),
+        pair_probability=pair_probability,
+        detector_efficiency=efficiency,
+        truncation_pairs=2,
     )
-    gf = _solve_overlap(
-        lambda g: _fusion_apparatus(g, gs, pair_probability, efficiency, 3),
-        fusion_target,
+    gs = _solve_overlap(single, "synthesizer_overlap", synthesizer_target)
+    fused = replace(
+        single, topology=star_topology(2), synthesizer_overlap=gs, truncation_pairs=3
     )
+    gf = _solve_overlap(fused, "fusion_overlap", fusion_target)
     return CalibratedOverlaps(synthesizer_overlap=gs, fusion_overlap=gf)
 
 
@@ -1025,8 +1026,10 @@ def monte_carlo_counts(
 
 
 def histogram_to_lines(hist: CoincidenceHistogram) -> list:
-    """Header 'setting,duration,seed', then one 'pattern,count' per line."""
-    lines = [f"{hist.setting.label},{hist.duration_s!r},{hist.seed}"]
+    """Header 'setting,duration,seed', with ',exact' appended for an exact
+    histogram, then one 'pattern,count' per line."""
+    flag = ",exact" if hist.exact else ""
+    lines = [f"{hist.setting.label},{hist.duration_s!r},{hist.seed}{flag}"]
     for pat in sorted(hist.counts):
         lines.append(f"{pat.bits},{hist.counts[pat]}")
     return lines
@@ -1037,9 +1040,9 @@ def histogram_from_lines(lines) -> CoincidenceHistogram:
     if not lines:
         raise ValueError("empty histogram data")
     head = lines[0].split(",")
-    if len(head) != 3:
+    if len(head) < 3 or head[3:] not in ([], ["exact"]):
         raise ValueError(f"bad histogram header {lines[0]!r}")
-    label, duration, seed = head
+    label, duration, seed = head[:3]
     counts = {}
     for line in lines[1:]:
         if not line.strip():
@@ -1055,4 +1058,5 @@ def histogram_from_lines(lines) -> CoincidenceHistogram:
         counts=counts,
         duration_s=float(duration),
         seed=int(seed),
+        exact=len(head) == 4,
     )

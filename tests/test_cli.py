@@ -297,6 +297,9 @@ def test_noisy_pipeline_reports_diluted_fidelity(tmp_path):
     # population term pinned at 1/2, correlations carry the overlap product
     expected = 0.5 + 0.5 * (0.8 * 0.9**2)
     assert abs(report["fidelity"] - expected) < 1e-6
+    # exact probabilities carry no counting error
+    assert report["sigma"] == 0.0
+    assert report["significance_unbounded"] is True
 
 
 def test_analyze_outputs_are_deterministic(tmp_path):

@@ -162,6 +162,16 @@ def test_star_apparatus_layout(ideal_star):
     # source mark in the distinguishable branch
     assert len(app.fusion_elements) == 3
     assert len(app.marked_fusion_elements) == 12
+    # everything else is derived from the inputs
+    assert [f.name for f in dataclasses.fields(Apparatus)] == [
+        "topology",
+        "pair_probability",
+        "synthesizer_overlap",
+        "fusion_overlap",
+        "detector_efficiency",
+        "repetition_rate_hz",
+        "truncation_pairs",
+    ]
 
 
 def test_compensator_phase_is_half_turn(ideal_star):
@@ -368,6 +378,76 @@ def test_replaced_apparatus_recomputes_its_distributions():
     expected = absolute_outcome_distribution(fresh, k_setting(0, 4))
     assert expected != coherent
     assert absolute_outcome_distribution(mixed, k_setting(0, 4)) == expected
+
+
+REPLACE_TOPOLOGIES = (star_topology(2), chain_topology(3))
+
+
+@st.composite
+def apparatus_inputs(draw):
+    """Valid keyword inputs of assemble_apparatus on star-2 or chain-3."""
+    return dict(
+        topology=draw(st.sampled_from(REPLACE_TOPOLOGIES)),
+        pair_probability=draw(st.floats(0.0, 0.2)),
+        synthesizer_overlap=draw(st.floats(0.0, 1.0)),
+        fusion_overlap=draw(st.floats(0.0, 1.0)),
+        detector_efficiency=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        repetition_rate_hz=draw(st.floats(1.0, 1e9)),
+        truncation_pairs=draw(st.integers(1, 4)),
+    )
+
+
+def fresh_apparatus(inputs):
+    inputs = dict(inputs)
+    return assemble_apparatus(inputs.pop("topology"), **inputs)
+
+
+def distributions(app):
+    return absolute_outcome_distributions(app, [hv_setting(), k_setting(1, app.n_arms)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(base=apparatus_inputs(), other=apparatus_inputs(), data=st.data())
+def test_replace_rederives_from_the_inputs(base, other, data):
+    names = data.draw(st.sets(st.sampled_from(sorted(other)), min_size=1))
+    change = {name: other[name] for name in names}
+    app = fresh_apparatus(base)
+    # fill every memo of the original before replacing
+    distributions(app)
+    replaced = dataclasses.replace(app, **change)
+    fresh = fresh_apparatus({**base, **change})
+    assert replaced == fresh and hash(replaced) == hash(fresh)
+    assert distributions(replaced) == distributions(fresh)
+
+
+@pytest.mark.parametrize(
+    "topology",
+    [chain_topology(4), FusionTopology(star_topology().sources, ((1, 4), (5, 8)))],
+    ids=["chain4", "custom-2edges"],
+)
+def test_replaced_wiring_matches_a_fresh_build(topology):
+    app = dataclasses.replace(build_apparatus(default_config()), truncation_pairs=5)
+    distributions(app)
+    replaced = dataclasses.replace(app, topology=topology)
+    fresh = assemble_apparatus(
+        topology, pair_probability=0.058, synthesizer_overlap=0.94,
+        fusion_overlap=0.76, detector_efficiency=0.265, truncation_pairs=5,
+    )
+    assert distributions(replaced) == distributions(fresh)
+
+
+def test_replace_checks_the_inputs_and_equal_assemblies_are_equal():
+    app = assemble_apparatus(star_topology(2), pair_probability=0.05)
+    with pytest.raises(ValueError, match="fusion_overlap"):
+        dataclasses.replace(app, fusion_overlap=1.5)
+    with pytest.raises(ValueError, match="efficiency"):
+        dataclasses.replace(app, detector_efficiency=0.0)
+    with pytest.raises(ValueError, match="pair_amplitude"):
+        dataclasses.replace(app, pair_probability=1.5)
+    with pytest.raises(ValueError, match="spectral_overlap"):
+        dataclasses.replace(app, synthesizer_overlap=-0.1)
+    twin = assemble_apparatus(star_topology(2), pair_probability=0.05)
+    assert twin == app and hash(twin) == hash(app)
 
 
 # ---- Distinguishability knobs ----
@@ -642,6 +722,12 @@ def test_histogram_lines_round_trip(bright_pair):
     back = histogram_from_lines(lines)
     assert back == hist
     assert histogram_to_lines(back) == lines
+    # an exact histogram says so in its header
+    dist = outcome_distribution(bright_pair, k_setting(4, 4))
+    exact = CoincidenceHistogram(k_setting(4, 4), dist, 12.5, 42, exact=True)
+    lines = histogram_to_lines(exact)
+    assert lines[0] == "k4,12.5,42,exact"
+    assert histogram_from_lines(lines) == exact
 
 
 def test_custom_angle_histogram_round_trip(bright_pair):
@@ -661,6 +747,8 @@ def test_histogram_from_lines_errors():
         histogram_from_lines([])
     with pytest.raises(ValueError, match="header"):
         histogram_from_lines(["HV,1.0"])
+    with pytest.raises(ValueError, match="header"):
+        histogram_from_lines(["HV,1.0,3,sampled", "HH,1"])
     with pytest.raises(ValueError, match="rows"):
         histogram_from_lines(["HV,1.0,3"])
 
@@ -781,19 +869,26 @@ def test_amplitude_floor_matches_oracle(p):
         assert_matches_oracle(app, setting)
 
 
-def test_non_monomial_fusion_optics_raise():
+def test_non_monomial_fusion_optics_raise(monkeypatch):
+    # a 50:50 splitter on the H modes in place of the second polarizing
+    # splitter; at fusion overlap 1 only the plain registry is built
+    fusion_elements = experiment._fusion_elements
+
+    def broken(apparatus, registry):
+        fusion = fusion_elements(apparatus, registry)
+        x, y = apparatus.topology.fusion_edges[1]
+        splitter = element_on(
+            registry,
+            [ModeLabel(x, "H"), ModeLabel(y, "H")],
+            beamsplitter_matrix(),
+            f"fuse-{x}-{y}",
+        )
+        return fusion[:1] + (splitter,) + fusion[2:]
+
+    monkeypatch.setattr(experiment, "_fusion_elements", broken)
     app = assemble_apparatus(star_topology(), pair_probability=0.05)
-    x, y = app.topology.fusion_edges[1]
-    splitter = element_on(
-        app.plain_registry,
-        [ModeLabel(x, "H"), ModeLabel(y, "H")],
-        beamsplitter_matrix(),
-        f"fuse-{x}-{y}",
-    )
-    fusion = app.fusion_elements
-    broken = dataclasses.replace(app, fusion_elements=fusion[:1] + (splitter,) + fusion[2:])
     with pytest.raises(ValueError, match="not monomial"):
-        absolute_outcome_distribution(broken, hv_setting())
+        absolute_outcome_distribution(app, hv_setting())
 
 
 def test_fusion_compile_pushes_only_occupied_modes(monkeypatch):
