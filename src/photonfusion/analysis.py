@@ -110,11 +110,17 @@ def poisson_propagate(linear_form, hist: CoincidenceHistogram) -> float:
     if hist.exact:
         return 0.0
     if callable(linear_form):
-        coeff = {pat: float(linear_form(pat)) for pat in counts}
+        coeffs = [float(linear_form(pat)) for pat in counts]
     else:
-        coeff = {pat: float(linear_form.get(pat, 0.0)) for pat in counts}
-    f = sum(coeff[pat] * n for pat, n in counts.items()) / total
-    var = sum((coeff[pat] - f) ** 2 * n for pat, n in counts.items()) / total**2
+        coeffs = [float(linear_form.get(pat, 0.0)) for pat in counts]
+    return _propagate(coeffs, counts.values(), total)
+
+
+def _propagate(coeffs, counts, total) -> float:
+    """poisson_propagate from the coefficients and counts in pattern order."""
+    pairs = list(zip(coeffs, counts))
+    f = sum(c * n for c, n in pairs) / total
+    var = sum((c - f) ** 2 * n for c, n in pairs) / total**2
     return math.sqrt(var)
 
 
@@ -153,10 +159,6 @@ def populations(hist: CoincidenceHistogram) -> PopulationSummary:
     )
 
 
-def _parity(pat: DetectionPattern) -> int:
-    return -1 if pat.count("-") % 2 else 1
-
-
 def m_k_expectation(hist: CoincidenceHistogram) -> ObservableResult:
     """Product-of-signs expectation of a rotated-basis histogram.
 
@@ -169,8 +171,9 @@ def m_k_expectation(hist: CoincidenceHistogram) -> ObservableResult:
     if len(set(setting.angles)) != 1:
         raise ValueError("analyzer angles differ between arms")
     counts, total = _counts_and_total(hist)
-    value = sum(_parity(pat) * n for pat, n in counts.items()) / total
-    sigma = poisson_propagate(_parity, hist)
+    parities = [-1 if pat.bits.count("-") % 2 else 1 for pat in counts]
+    value = sum(c * n for c, n in zip(parities, counts.values())) / total
+    sigma = 0.0 if hist.exact else _propagate(map(float, parities), counts.values(), total)
     return ObservableResult(value, sigma, int(round(total)))
 
 

@@ -201,6 +201,16 @@ def _detection_patterns(n_arms: int, symbols: tuple) -> tuple:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=32)
+def _pattern_index(n_arms: int) -> dict:
+    """The shared keys of both bases at one width, by their bits."""
+    return {
+        pat.bits: pat
+        for symbols in (("H", "V"), ("+", "-"))
+        for pat in _detection_patterns(n_arms, symbols)
+    }
+
+
 @dataclass(frozen=True)
 class CoincidenceHistogram:
     setting: MeasurementSetting
@@ -475,11 +485,13 @@ class _Branch:
     from different sources never interfere.
 
     An arm's local occupation lists its (H, V) photon numbers per tag,
-    tags in registry order; one tag's (H, V) pair is a slot. Two memos
-    fill as settings are computed, since neither depends on the setting:
-    firing probabilities per joint plus count, which depend on the
-    detector efficiency alone, and a slot's analyzer amplitudes per
-    (angle, h, v), shared by every setting, arm and slot at that angle.
+    tags in registry order; one tag's (H, V) pair is a slot. Memos fill
+    as settings are computed, since none depends on the setting: firing
+    probabilities per joint plus count, which depend on the detector
+    efficiency alone; a slot's analyzer amplitudes per (angle, photon
+    number); and an arm's row per (angle, photon numbers of its occupied
+    slots). All are shared by every setting, arm and slot at that angle,
+    since every analyzer of a branch applies one matrix to one slot.
     """
 
     def __init__(self, apparatus: Apparatus, marked: bool, weight: float):
@@ -504,19 +516,30 @@ class _Branch:
             for arm in self.arms
         )
         self._getters = [operator.itemgetter(*modes) for modes in self.modes]
+        self._h = operator.itemgetter(*(m for modes in self.modes for m in modes[0::2]))
+        self._v = operator.itemgetter(*(m for modes in self.modes for m in modes[1::2]))
         self._weights: dict = {}
-        self._columns: dict = {}
+        self._analyzers: dict = {}
+        self._rows: dict = {}
 
     def supported(self, terms: dict) -> list:
-        """[(local occupations, amplitude)] of the terms with a photon in
-        every arm, the only ones that can fire every arm."""
-        getters = self._getters
+        """[(occupation, local occupations, amplitude)] of the terms with a
+        photon in every arm, the only ones that can fire every arm. The
+        occupation is packed into bytes, which a plan keeps per key."""
         out = []
         for occ, amp in terms.items():
-            local = tuple([get(occ) for get in getters])
+            local = self.local(occ)
             if all(map(any, local)):
-                out.append((local, amp))
+                out.append((bytes(occ), local, amp))
         return out
+
+    def local(self, occ) -> tuple:
+        """An occupation's local occupations, arm by arm."""
+        return tuple([get(occ) for get in self._getters])
+
+    def photons(self, occ) -> tuple:
+        """An occupation's photon numbers per slot, arm by arm."""
+        return tuple(map(operator.add, self._h(occ), self._v(occ)))
 
     def weights(self, ns: tuple) -> np.ndarray:
         """Firing probabilities per joint plus count of an arm's slots holding
@@ -532,22 +555,55 @@ class _Branch:
             )
         return hit
 
-    def column(self, arm: int, slot: int, theta: float, h: int, v: int) -> dict:
-        """{p: <p +, (h+v-p) -| analyzer |h H, v V>} of one slot, read off
-        the branch's own analyzer element with apply_element."""
-        key = (theta, h, v)
-        col = self._columns.get(key)
-        if col is None:
-            modes = self.modes[arm][slot : slot + 2]
-            occ = [0] * len(self.registry)
-            occ[modes[0]], occ[modes[1]] = h, v
-            state = AmplitudeState(self.registry, {tuple(occ): 1.0 + 0j}, h + v)
-            element = _analyzer_element(
-                self.registry, self.arms[arm], self.tags[slot // 2], theta
-            )
-            out = apply_element(state, element)
-            col = self._columns[key] = {o[modes[0]]: a for o, a in out.terms.items()}
-        return col
+    def analyzer(self, theta: float, n: int) -> np.ndarray:
+        """<p +, (n-p) -| analyzer |h H, (n-h) V> of a slot holding n
+        photons, as a matrix [p, h], read off the branch's own analyzer
+        element (first arm, first tag) with apply_element; an amplitude
+        apply_element drops is an exact zero."""
+        u = self._analyzers.get((theta, n))
+        if u is None:
+            modes = self.modes[0][:2]
+            element = _analyzer_element(self.registry, self.arms[0], self.tags[0], theta)
+            u = self._analyzers[(theta, n)] = np.zeros((n + 1, n + 1), dtype=complex)
+            for h in range(n + 1):
+                occ = [0] * len(self.registry)
+                occ[modes[0]], occ[modes[1]] = h, n - h
+                state = AmplitudeState(self.registry, {tuple(occ): 1.0 + 0j}, n)
+                for out, a in apply_element(state, element).terms.items():
+                    u[out[modes[0]], h] = a
+        return u
+
+    def row(self, theta, slots: tuple) -> tuple:
+        """(first, second) firing probabilities of one arm for a unit
+        amplitude with (h, v) photons in each of its occupied slots, in
+        slot order, and its smallest analyzed amplitude. At HV (theta None)
+        there is no analyzer: the H port is the first and the amplitude is
+        untouched."""
+        key = (theta, slots)
+        hit = self._rows.get(key)
+        if hit is None:
+            hit = self._rows[key] = self._row(theta, slots)
+        return hit
+
+    def _row(self, theta, slots: tuple) -> tuple:
+        n_h = sum(h for h, _ in slots)
+        total = n_h + sum(v for _, v in slots)
+        if theta is None:
+            return (*_firing(n_h, total - n_h, self.miss), 1.0)
+        # each slot's analyzed amplitudes {p: amplitude}, exact zeros left out
+        columns = [
+            {p: a for p, a in enumerate(self.analyzer(theta, h + v)[:, h].tolist()) if a}
+            for h, v in slots
+        ]
+        first = second = 0.0
+        for outs in itertools.product(*(col.items() for col in columns)):
+            plus = sum(p for p, _ in outs)
+            w = abs(math.prod(a for _, a in outs)) ** 2
+            f_first, f_second = _firing(plus, total - plus, self.miss)
+            first += w * f_first
+            second += w * f_second
+        floor = math.prod(min(abs(a) for a in col.values()) for col in columns)
+        return first, second, floor
 
 
 def _moved_terms(state: AmplitudeState, image, offset: int) -> list:
@@ -642,116 +698,184 @@ _PROFILE_BLOCK = 64
 
 
 class _PatternSum:
-    """One setting's accepted-pattern vector, summed class by class.
+    """A run plan's accepted-pattern vectors, one per setting, summed over
+    one stream of members.
 
-    A single-term class whose analyzed amplitudes all stay above
-    fock.PRUNE_EPS adds its squared amplitude to its firing profile, the
-    product of its arms' firing probabilities; profiles are summed over
-    the whole stream and expanded once, in vector(). An arm's firing
-    probabilities for a unit amplitude in one local occupation are
-    memoized per branch. Any other class is contracted with the analyzers
-    (_contract). At HV there is no analyzer: the H port is the first.
+    At HV every supported term is a class of its own, and add sums it
+    into a key (branch, occupation, |amplitude|) holding its summed
+    weight. For the rotated settings add splits each member's supported
+    terms into coherence classes once, as they do not depend on the
+    angles: a single-term class is summed into a key of the same form, and
+    a multi-term class is kept whole. Neither key set depends on which
+    settings the plan holds, so neither does any setting's vector.
+
+    vectors() reduces the whole plan at once. A key's firing profile under
+    a setting is the product of its arms' rows (_Branch.row), gathered as
+    one array over the settings. Where all of a key's analyzed amplitudes
+    stay above fock.PRUNE_EPS, the key adds weight * |amplitude|^2 times
+    its profile; the profiles are expanded a block of keys at a time. A
+    multi-term class, and a key below that floor at some setting, is
+    contracted with the analyzers once (_contract), with the rotated
+    settings as a leading axis, and the key's contraction counts only at
+    the settings where it is below the floor. At HV there is no analyzer:
+    the H port is the first, and the floor is the amplitude itself, above
+    fock.PRUNE_EPS for every member term.
     """
 
-    def __init__(self, n_arms: int, angles):
+    def __init__(self, n_arms: int, settings):
         self.n_arms = n_arms
-        self.angles = angles
-        self.contracted = np.zeros(2**n_arms)
-        self.profiles: dict = {}
-        self._rows: dict = {}
+        self.settings = settings
+        self.rotated = [s.angles for s in settings if s.angles is not None]
+        self.hv = len(self.rotated) < len(settings)
+        self.terms: dict = {}
+        self.singles: dict = {}
+        self.classes: list = []
 
-    def add(self, branch: _Branch, weight: float, classes) -> None:
-        rows = self._rows.get(branch)
-        if rows is None:
-            rows = self._rows[branch] = {}
-        profiles = self.profiles
-        for terms in classes:
+    def add(self, branch: _Branch, weight: float, supported) -> None:
+        if self.hv:
+            _tally(self.terms, branch, weight, supported)
+        if not self.rotated:
+            return
+        classes: dict = {}
+        for term in supported:
+            classes.setdefault(branch.photons(term[0]), []).append(term)
+        for terms in classes.values():
             if len(terms) == 1:
-                local, amp = terms[0]
-                profile = []
-                floor = abs(amp)
-                for a, arm_local in enumerate(local):
-                    key = (a, arm_local)
-                    hit = rows.get(key)
-                    if hit is None:
-                        hit = rows[key] = self._row(branch, a, arm_local)
-                    profile.append(hit[0])
-                    floor *= hit[1]
-                if floor > PRUNE_EPS:
-                    profile = tuple(profile)
-                    profiles[profile] = profiles.get(profile, 0.0) + weight * abs(amp) ** 2
-                    continue
-            self.contracted += weight * self._contract(branch, terms)
+                _tally(self.singles, branch, weight, terms)
+            else:
+                self.classes.append((branch, weight, terms))
 
-    def _row(self, branch: _Branch, arm: int, local: tuple) -> tuple:
-        """((first, second) firing probabilities, smallest analyzed amplitude)
-        of one arm for a unit amplitude in one local occupation."""
-        if self.angles is None:
-            return _firing(sum(local[0::2]), sum(local[1::2]), branch.miss), 1.0
-        theta = self.angles[arm]
-        columns = [
-            branch.column(arm, t, theta, local[t], local[t + 1])
-            for t in range(0, len(local), 2)
-            if local[t] + local[t + 1]
+    def vectors(self) -> list:
+        """One vector per setting, in order; HV settings share theirs."""
+        if self.rotated:
+            rotated = iter(self._rotated())
+        if self.hv:
+            keys, _, weights = _keyed(self.terms)
+            rows = self._rows(keys, [(None,) * self.n_arms])
+            hv = _expand(rows, weights[None], np.zeros((1, 2**self.n_arms)))[0]
+        return [hv if s.angles is None else next(rotated) for s in self.settings]
+
+    def _rotated(self) -> np.ndarray:
+        keys, amps, weights = _keyed(self.singles)
+        rows = self._rows(keys, self.rotated)
+        # the floor guard multiplies |amplitude| first, then arm by arm
+        floor = amps
+        for a in range(self.n_arms):
+            floor = floor * rows[:, :, a, 2]
+        passed = floor > PRUNE_EPS
+        vectors = np.zeros((len(self.rotated), 2**self.n_arms))
+        for branch, weight, terms in self.classes:
+            vectors += weight * self._contract(branch, terms)
+        for e in np.flatnonzero(~passed.all(axis=0)):
+            branch, occ, amp = keys[e]
+            below = ~passed[:, e]
+            term = (occ, branch.local(occ), amp)
+            vector = self.singles[keys[e]] * self._contract(branch, [term])
+            vectors[below] += vector[below]
+        return _expand(rows, np.where(passed, weights, 0.0), vectors)
+
+    def _rows(self, keys, angle_rows) -> np.ndarray:
+        """(settings, keys, arms, 3): each key's arm rows, (first, second,
+        floor), under each setting's per-arm angles; read from one table
+        over the distinct (branch, arm-local occupation) pairs and the
+        distinct angles of the plan."""
+        pairs: dict = {}
+        index = [
+            [pairs.setdefault((branch, arm), len(pairs)) for arm in branch.local(occ)]
+            for branch, occ, _ in keys
         ]
-        total = sum(local)
-        first = second = 0.0
-        for outs in itertools.product(*(col.items() for col in columns)):
-            plus = sum(p for p, _ in outs)
-            w = abs(math.prod(a for _, a in outs)) ** 2
-            f_first, f_second = _firing(plus, total - plus, branch.miss)
-            first += w * f_first
-            second += w * f_second
-        floor = math.prod(min(abs(a) for a in col.values()) for col in columns)
-        return (first, second), floor
+        thetas: dict = {}
+        angle_index = [[thetas.setdefault(t, len(thetas)) for t in row] for row in angle_rows]
+        occupied = [
+            (branch, tuple((h, v) for h, v in zip(arm[0::2], arm[1::2]) if h + v))
+            for branch, arm in pairs
+        ]
+        table = np.array(
+            [[branch.row(t, slots) for t in thetas] for branch, slots in occupied]
+        ).reshape(len(pairs), len(thetas), 3)
+        index = np.array(index, dtype=np.intp).reshape(len(keys), self.n_arms)
+        return table[index[None], np.array(angle_index)[:, None]]
 
     def _contract(self, branch: _Branch, terms) -> np.ndarray:
-        """Accepted-pattern vector of one coherence class: [(local, amp)]
-        sharing their photon numbers per slot.
+        """Accepted-pattern vectors of one coherence class, terms sharing
+        their photon numbers per slot, under every rotated setting:
+        shape (rotated settings, 2^n).
 
         The analyzers act slot by slot in element order, and analyzed
         amplitudes at or below fock.PRUNE_EPS are dropped after each, as
         apply_element drops them.
         """
-        first = terms[0][0]
+        first = terms[0][1]
         slots = [
             (a, t, local[t] + local[t + 1])
             for a, local in enumerate(first)
             for t in range(0, len(local), 2)
             if local[t] + local[t + 1]
         ]
-        amps = np.zeros([n + 1 for _, _, n in slots], dtype=complex)
-        for local, amp in terms:
-            amps[tuple(local[a][t] for a, t, _ in slots)] = amp
-        for axis, (a, t, n) in enumerate(slots):
-            u = np.zeros((n + 1, n + 1), dtype=complex)
-            for h in range(n + 1):
-                for p, c in branch.column(a, t, self.angles[a], h, n - h).items():
-                    u[p, h] = c
-            amps = np.moveaxis(np.tensordot(u, amps, axes=([1], [axis])), 0, axis)
+        n_settings = len(self.rotated)
+        # amps[setting, column, output of the last analyzed slot, ..., of the
+        # first]: one column per distinct H-count tuple of the slots not
+        # analyzed yet, as every other column of the whole tensor is zero
+        rests = [tuple(local[a][t] for a, t, _ in slots) for _, local, _ in terms]
+        amps = np.array([[amp for _, _, amp in terms]] * n_settings, dtype=complex)
+        for a, _, n in slots:
+            u = np.array([branch.analyzer(angles[a], n) for angles in self.rotated])
+            u = u.reshape(u.shape + (1,) * (amps.ndim - 2))
+            merged = {rest[1:]: None for rest in rests}
+            column = {rest: c for c, rest in enumerate(merged)}
+            out = np.zeros((n_settings, len(merged), n + 1) + amps.shape[2:], dtype=complex)
+            for j, rest in enumerate(rests):
+                for p in range(n + 1):
+                    out[:, column[rest[1:]], p] += amps[:, j] * u[:, p, rest[0]]
+            amps, rests = out, list(merged)
             amps[np.abs(amps) <= PRUNE_EPS] = 0.0
-        prob = np.abs(amps) ** 2
+        # arms last to first on the axes; each arm's firing pair goes last,
+        # so the first arm varies fastest in the end
+        prob = np.abs(amps[:, 0]) ** 2
         per_arm = [tuple(n for b, _, n in slots if b == a) for a in range(len(first))]
-        prob = prob.reshape([math.prod(n + 1 for n in ns) for ns in per_arm])
+        per_arm.reverse()
+        prob = prob.reshape([n_settings] + [math.prod(n + 1 for n in ns) for ns in per_arm])
         for ns in per_arm:
-            prob = np.tensordot(prob, branch.weights(ns), axes=([0], [0]))
-        return prob.ravel(order="F")
+            # firing depends on the arm's plus count alone, whatever the slot order
+            weights = branch.weights(ns[::-1])
+            fired = []
+            for q in (0, 1):
+                acc = prob[:, 0] * weights[0, q]
+                for j in range(1, len(weights)):
+                    acc += prob[:, j] * weights[j, q]
+                fired.append(acc)
+            prob = np.stack(fired, axis=-1)
+        return prob.reshape(n_settings, -1)
 
-    def vector(self) -> np.ndarray:
-        """The summed vector: the profiles expanded into the contracted
-        classes' sum, in place, so called once after the last add."""
-        n_arms = self.n_arms
-        vector = self.contracted
-        rows = np.array(list(self.profiles)).reshape(-1, n_arms, 2)
-        weights = np.fromiter(self.profiles.values(), float, len(self.profiles))
-        # a block of profiles at a time keeps the expanded rows small
-        for start in range(0, len(rows), _PROFILE_BLOCK):
-            prob = weights[start : start + _PROFILE_BLOCK, None]
-            block = rows[start : start + _PROFILE_BLOCK]
-            for a in reversed(range(n_arms)):
-                prob = (prob[:, :, None] * block[:, a, None, :]).reshape(len(block), -1)
-            vector += prob.sum(axis=0)
-        return vector
+
+def _tally(sums: dict, branch: _Branch, weight: float, terms) -> None:
+    for occ, _, amp in terms:
+        key = (branch, occ, abs(amp))
+        sums[key] = sums.get(key, 0.0) + weight
+
+
+def _keyed(sums: dict) -> tuple:
+    """The keys of a _tally, their |amplitude|s and weight * |amplitude|^2."""
+    keys = list(sums)
+    amps = np.array([amp for _, _, amp in keys])
+    return keys, amps, np.fromiter(sums.values(), float, len(keys)) * amps**2
+
+
+def _expand(rows: np.ndarray, weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """vectors plus the weighted sum of the keys' profiles, expanded into
+    pattern vectors with the first arm varying fastest, in place. rows is
+    (settings, keys, arms, 2 or more), weights (settings, keys); a block
+    of keys at a time keeps the expanded rows small."""
+    n_settings, n_keys, n_arms, _ = rows.shape
+    for start in range(0, n_keys, _PROFILE_BLOCK):
+        block = rows[:, start : start + _PROFILE_BLOCK, :, :2]
+        prob = weights[:, start : start + _PROFILE_BLOCK, None]
+        for a in reversed(range(n_arms)):
+            prob = (prob[..., None] * block[:, :, a, None, :]).reshape(
+                n_settings, block.shape[1], -1
+            )
+        vectors += prob.sum(axis=1)
+    return vectors
 
 
 def _pattern_vectors(apparatus: Apparatus, members, settings) -> list:
@@ -762,32 +886,21 @@ def _pattern_vectors(apparatus: Apparatus, members, settings) -> list:
     grouped into coherence classes, the terms an analyzer can mix: at a
     rotated setting the terms with equal photon numbers per (arm, tag)
     slot, at HV each term alone. Neither the supported terms nor the
-    classes depend on the angles, so each member is split once and only
-    the analyzer and detector reduction (one _PatternSum per setting)
-    runs per setting.
+    classes depend on the angles, so each member is split once into one
+    _PatternSum for the whole plan, which then reduces every setting
+    together: per-arm rows and class contractions carry the settings as
+    an array axis instead of being recomputed per setting.
 
     The vectors are indexed with the first arm varying fastest, the
     reverse of the order all_detection_patterns labels. This is a known
     defect kept so that recorded benchmark distributions still match.
     """
-    sums = [_PatternSum(apparatus.n_arms, setting.angles) for setting in settings]
-    hv = [s for s in sums if s.angles is None]
-    rotated = [s for s in sums if s.angles is not None]
+    plan = _PatternSum(apparatus.n_arms, list(settings))
     for weight, terms, branch in members:
         supported = branch.supported(terms)
-        if hv:
-            singles = [[term] for term in supported]
-            for s in hv:
-                s.add(branch, weight, singles)
-        if rotated:
-            classes: dict = {}
-            for term in supported:
-                key = tuple([tuple(map(operator.add, a[0::2], a[1::2])) for a in term[0]])
-                classes.setdefault(key, []).append(term)
-            grouped = list(classes.values())
-            for s in rotated:
-                s.add(branch, weight, grouped)
-    return [s.vector() for s in sums]
+        if supported:
+            plan.add(branch, weight, supported)
+    return plan.vectors()
 
 
 def absolute_outcome_distributions(apparatus: Apparatus, settings) -> list:
@@ -1007,16 +1120,17 @@ def monte_carlo_counts(
     fixed seed reproduces the histogram bit for bit and different
     settings draw independently. An apparatus that accepts nothing
     raises, as outcome_distribution does.
+
+    The patterns draw in one call, element by element in pattern order,
+    and a zero mean draws nothing from the stream.
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     absolute, _ = _accepted_distribution(apparatus, setting)
     stream = np.random.SeedSequence([seed, zlib.crc32(setting.label.encode())])
     rng = np.random.default_rng(stream)
-    counts = {}
-    for pat, p in absolute.items():
-        mean = apparatus.repetition_rate_hz * p * duration_s
-        counts[pat] = int(rng.poisson(mean))
+    means = apparatus.repetition_rate_hz * np.fromiter(absolute.values(), float) * duration_s
+    counts = dict(zip(absolute, rng.poisson(means).tolist()))
     return CoincidenceHistogram(
         setting=setting, counts=counts, duration_s=float(duration_s), seed=seed
     )
@@ -1030,8 +1144,8 @@ def histogram_to_lines(hist: CoincidenceHistogram) -> list:
     histogram, then one 'pattern,count' per line."""
     flag = ",exact" if hist.exact else ""
     lines = [f"{hist.setting.label},{hist.duration_s!r},{hist.seed}{flag}"]
-    for pat in sorted(hist.counts):
-        lines.append(f"{pat.bits},{hist.counts[pat]}")
+    rows = sorted(hist.counts.items(), key=lambda row: row[0].bits)
+    lines.extend(f"{pat.bits},{count}" for pat, count in rows)
     return lines
 
 
@@ -1043,13 +1157,18 @@ def histogram_from_lines(lines) -> CoincidenceHistogram:
     if len(head) < 3 or head[3:] not in ([], ["exact"]):
         raise ValueError(f"bad histogram header {lines[0]!r}")
     label, duration, seed = head[:3]
+    rows = [line.partition(",") for line in lines[1:] if line.strip()]
+    # a file with a row per pattern of its width reads into the shared keys;
+    # any other row is checked as a new pattern
+    width = len(rows[0][0]) if rows else 0
+    known = _pattern_index(width) if 0 < width and 2**width <= len(rows) else {}
     counts = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        bits, _, count = line.partition(",")
+    for bits, _, count in rows:
         value = float(count)
-        counts[DetectionPattern(bits)] = int(value) if value.is_integer() else value
+        pat = known.get(bits)
+        if pat is None:
+            pat = DetectionPattern(bits)
+        counts[pat] = int(value) if value.is_integer() else value
     if not counts:
         raise ValueError("histogram has no pattern rows")
     n_arms = len(next(iter(counts)).bits)

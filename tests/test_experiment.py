@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -686,6 +687,24 @@ def test_monte_carlo_custom_angles_draw_independent_streams(bright_pair):
     assert a.counts != b.counts
 
 
+@pytest.mark.parametrize("k", [None, 0])
+def test_monte_carlo_draws_match_a_scalar_loop(ideal_star, k):
+    # the ideal star's HV and k0 distributions hold exact zeros between
+    # nonzero patterns; a zero mean draws nothing from the stream
+    setting = hv_setting() if k is None else k_setting(k, 8)
+    absolute = absolute_outcome_distribution(ideal_star, setting)
+    values = list(absolute.values())
+    assert 0.0 in values[values.index(next(v for v in values if v)) :]
+    hist = monte_carlo_counts(ideal_star, setting, 7200.0, seed=13)
+    stream = np.random.SeedSequence([13, zlib.crc32(setting.label.encode())])
+    rng = np.random.default_rng(stream)
+    expected = {}
+    for pat, p in absolute.items():
+        expected[pat] = int(rng.poisson(ideal_star.repetition_rate_hz * p * 7200.0))
+    assert list(hist.counts.items()) == list(expected.items())
+    assert hist.total > 0
+
+
 def test_monte_carlo_duration_validated(bright_pair):
     with pytest.raises(ValueError, match="duration"):
         monte_carlo_counts(bright_pair, hv_setting(), 0.0, seed=1)
@@ -740,6 +759,21 @@ def test_histogram_rows_sorted(bright_pair):
     hist = monte_carlo_counts(bright_pair, hv_setting(), 5.0, seed=1)
     rows = [line.split(",")[0] for line in histogram_to_lines(hist)[1:]]
     assert rows == sorted(rows)
+
+
+def test_histogram_rows_read_into_shared_keys(bright_pair):
+    # a full file reads into the keys every distribution of its shape
+    # shares; a partial one builds and checks its patterns afresh
+    hist = monte_carlo_counts(bright_pair, k_setting(2, 4), 5.0, seed=3)
+    lines = histogram_to_lines(hist)
+    shared = all_detection_patterns(4, ("+", "-"))
+    back = histogram_from_lines(lines)
+    assert sorted(map(id, back.counts)) == sorted(map(id, shared))
+    partial = histogram_from_lines(lines[:5])
+    assert list(partial.counts) == sorted(shared, key=lambda pat: pat.bits)[:4]
+    assert not {id(pat) for pat in partial.counts} & {id(pat) for pat in shared}
+    with pytest.raises(ValueError, match="mixes basis"):
+        histogram_from_lines(lines + ["+-HV,1"])
 
 
 def test_histogram_from_lines_errors():
@@ -861,12 +895,42 @@ def test_ideal_star_interference_zeros_match_oracle(ideal_star, k):
 @pytest.mark.parametrize("p", [4e-15, 2e-14, 1e-13])
 def test_amplitude_floor_matches_oracle(p):
     # two-pair amplitudes p/2 straddle fock.PRUNE_EPS once analyzed
-    app = assemble_apparatus(
+    build = functools.partial(
+        assemble_apparatus,
         star_topology(2), pair_probability=p, synthesizer_overlap=0.9,
         fusion_overlap=0.8, detector_efficiency=0.7, truncation_pairs=3,
     )
-    for setting in (k_setting(1, 4), angle_setting([0.3, 1.1, 2.0, 5.0])):
+    app = build()
+    run_settings = [k_setting(1, 4), angle_setting([0.3, 1.1, 2.0, 5.0])]
+    for setting in run_settings:
         assert_matches_oracle(app, setting)
+    # in one batch the floor is checked per setting
+    batch = absolute_outcome_distributions(build(), run_settings)
+    for setting, got in zip(run_settings, batch):
+        assert_matches(got, oracle_distribution(app, setting))
+        assert got == absolute_outcome_distribution(app, setting)
+
+
+def test_plan_contracts_each_class_once(monkeypatch):
+    # default star at truncation 5: its multi-pair terms form multi-term
+    # coherence classes, contracted with every rotated setting at once
+    calls = []
+    contract = experiment._PatternSum._contract
+
+    def counted(self, branch, terms):
+        calls.append(len(terms))
+        return contract(self, branch, terms)
+
+    monkeypatch.setattr(experiment._PatternSum, "_contract", counted)
+    base = dataclasses.replace(build_apparatus(default_config()), truncation_pairs=5)
+    plan = [setting_from_label(label) for label in default_config().run.settings]
+    assert sum(s.angles is not None for s in plan) == 8
+    absolute_outcome_distributions(dataclasses.replace(base), plan[:2])
+    one_setting = list(calls)
+    assert one_setting and max(one_setting) > 1
+    calls.clear()
+    absolute_outcome_distributions(dataclasses.replace(base), plan)
+    assert calls == one_setting
 
 
 def test_non_monomial_fusion_optics_raise(monkeypatch):
