@@ -22,7 +22,13 @@ import tempfile
 from pathlib import Path
 
 from .analysis import witness_from_histograms
-from .config import ConfigError, config_topology, default_config, load_config
+from .config import (
+    ConfigError,
+    _witness_plan,
+    config_topology,
+    default_config,
+    load_config,
+)
 from .experiment import (
     CoincidenceHistogram,
     absolute_outcome_distributions,
@@ -107,7 +113,8 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     config = _load_config(args)
     directory = Path(args.directory or config.output.directory)
-    labels = config.run.settings
+    # the plan holds the witness plan; its other settings are not read
+    labels = _witness_plan(2 * config.sources.count)
     paths = {label: directory / f"{label}.csv" for label in labels}
     missing = [str(p) for p in paths.values() if not p.exists()]
     if missing:

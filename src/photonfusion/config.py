@@ -95,7 +95,8 @@ class ExperimentConfig:
 
 def _witness_plan(n_arms: int) -> tuple:
     """The run plan of the n-arm witness: HV, then the rotated settings at
-    angles j*pi/n for j < n, each named by its k label (k*pi/8)."""
+    angles j*pi/n for j < n, each named by its k label (k*pi/8). A run
+    plan must hold it; analyze reads exactly these settings."""
     return ("HV",) + tuple(f"k{8 * j // n_arms}" for j in range(n_arms))
 
 
@@ -195,8 +196,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         ),
         count=_integer(src_d, "count", "sources", problems, 1, base.count),
     )
-    if sources.count not in (1, 2, 4):
+    count_ok = sources.count in (1, 2, 4)
+    if not count_ok:
         problems.append(f"sources.count={sources.count} must be 1, 2, or 4")
+    # every arm must see a photon, and a pair feeds two arms
+    elif sources.truncation_pairs < sources.count:
+        problems.append(
+            f"sources.truncation_pairs={sources.truncation_pairs} below "
+            f"sources.count={sources.count}: no accepted coincidences, as "
+            f"{2 * sources.count} arms need at least {sources.count} pairs"
+        )
+    if sources.pair_probability == 0.0:
+        problems.append("sources.pair_probability=0 gives no accepted coincidences")
 
     topo_d = _take(
         top.get("topology", {}), "topology", ("shape", "sources", "fusion_edges"), problems
@@ -258,6 +269,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             problems.append(f"run.settings entry {label!r} not one of {SETTING_LABELS}")
     if len(set(labels)) != len(labels):
         problems.append("run.settings has duplicates")
+    if count_ok:
+        witness = _witness_plan(2 * sources.count)
+        lacking = [label for label in witness if label not in labels]
+        if lacking:
+            problems.append(
+                f"run.settings lacks {', '.join(lacking)} of the witness plan "
+                f"{', '.join(witness)} that analyze reads"
+            )
     durations = run_d.get("duration_hours", dict(DEFAULT_DURATIONS))
     if not isinstance(durations, dict):
         problems.append("run.duration_hours must be a mapping")

@@ -515,23 +515,17 @@ class _Branch:
             )
             for arm in self.arms
         )
+        # the arm of each branch mode, as a one-bit mask
+        self.arm_bits = [0] * len(registry)
+        for a, modes in enumerate(self.modes):
+            for m in modes:
+                self.arm_bits[m] = 1 << a
         self._getters = [operator.itemgetter(*modes) for modes in self.modes]
         self._h = operator.itemgetter(*(m for modes in self.modes for m in modes[0::2]))
         self._v = operator.itemgetter(*(m for modes in self.modes for m in modes[1::2]))
         self._weights: dict = {}
         self._analyzers: dict = {}
         self._rows: dict = {}
-
-    def supported(self, terms: dict) -> list:
-        """[(occupation, local occupations, amplitude)] of the terms with a
-        photon in every arm, the only ones that can fire every arm. The
-        occupation is packed into bytes, which a plan keeps per key."""
-        out = []
-        for occ, amp in terms.items():
-            local = self.local(occ)
-            if all(map(any, local)):
-                out.append((bytes(occ), local, amp))
-        return out
 
     def local(self, occ) -> tuple:
         """An occupation's local occupations, arm by arm."""
@@ -606,62 +600,115 @@ class _Branch:
         return first, second, floor
 
 
-def _moved_terms(state: AmplitudeState, image, offset: int) -> list:
-    """A source state's terms after the fusion optics, as
-    (((branch mode, count), ...), amplitude); the source's modes start at
-    offset in the apparatus registry."""
-    out = []
-    for occ, amp in state.terms.items():
-        moves = []
-        for j, n in enumerate(occ):
-            if n:
-                dest, phase = image[offset + j]
-                moves.append((dest, n))
-                amp *= phase**n
-        out.append((tuple(moves), amp))
-    return out
+class _Moved:
+    """One ensemble state's terms after one branch's fusion optics, as
+    (((branch mode, count), ...), amplitude, arm mask): the mask has bit a
+    set when a photon of the term leaves on output arm a. reach is the
+    union of the masks, and covering(need) the terms whose mask holds
+    every arm of need, memoized per need."""
+
+    __slots__ = ("terms", "reach", "_covering")
+
+    def __init__(self, state: AmplitudeState, branch: _Branch, offset: int):
+        """state's modes start at offset in the apparatus registry."""
+        self.terms = []
+        self.reach = 0
+        for occ, amp in state.terms.items():
+            moves = []
+            mask = 0
+            for j, n in enumerate(occ):
+                if n:
+                    dest, phase = branch.image[offset + j]
+                    moves.append((dest, n))
+                    mask |= branch.arm_bits[dest]
+                    amp *= phase**n
+            self.terms.append((tuple(moves), amp, mask))
+            self.reach |= mask
+        self._covering = {0: self.terms}
+
+    def covering(self, need: int) -> list:
+        hit = self._covering.get(need)
+        if hit is None:
+            hit = self._covering[need] = [t for t in self.terms if t[2] & need == need]
+        return hit
 
 
 def _members(apparatus: Apparatus, patterns):
-    """Yield (weight, terms, branch) members of each emission pattern after
-    fusion and compensation; terms maps occupations of the branch registry
-    to amplitudes.
+    """Yield (weight, supported, branch) members of each emission pattern
+    after fusion and compensation: supported lists (occupation, local
+    occupations, amplitude) of the member's terms with a photon in every
+    arm, the only ones that can fire every arm. The occupation of the
+    branch registry is packed into bytes, which a plan keeps per key; the
+    local occupations are branch.local's. A member without such a term
+    is not yielded.
 
     The weight of a member is the product of its per-source ensemble
     weights and the branch weight; states are unnormalized, so a member's
     accepted probability is weight times the detection value of its
     amplitudes. A joint amplitude at or below fock.PRUNE_EPS is dropped,
     as tensor_product drops it.
+
+    Each source's ensemble is moved through each branch's compiled fusion
+    image once per pair count, and every moved term carries the arms its
+    photons reach. The joint terms are the product of the sources' terms
+    in source order, pruned as it is built: a source's term is kept only
+    if it covers every arm that neither the sources before it nor any
+    term of the sources after it reach. So an occupation is built only
+    for a term with a photon in every arm, and terms come out in product
+    order with their amplitudes multiplied in source order. The arm masks
+    come from the compiled fusion image, not from the topology
+    enumerator, so a pattern it admits wrongly yields nothing here.
     """
     branches = apparatus._branches
+    # the apparatus registry lists each source's modes in turn
+    offsets = list(
+        itertools.accumulate((len(source_mode_labels(s)) for s in apparatus.sources), initial=0)
+    )
+    pieces: dict = {}
     for counts in patterns:
         per_source = []
-        offset = 0  # the apparatus registry lists each source's modes in turn
-        for source, n in zip(apparatus.sources, counts):
-            per_source.append(
-                [
-                    (w, [_moved_terms(st, b.image, offset) for b in branches])
-                    for w, st in source_ensemble(source, n)
+        for i, n in enumerate(counts):
+            piece = pieces.get((i, n))
+            if piece is None:
+                piece = pieces[(i, n)] = [
+                    (w, [_Moved(st, b, offsets[i]) for b in branches])
+                    for w, st in source_ensemble(apparatus.sources[i], n)
                 ]
-            )
-            offset += len(source_mode_labels(source))
+            per_source.append(piece)
         for combo in itertools.product(*per_source):
             weight = 1.0
             for w, _ in combo:
                 weight *= w
             for b, branch in enumerate(branches):
-                width = len(branch.registry)
-                terms = {}
-                for parts in itertools.product(*(moved[b] for _, moved in combo)):
-                    occ = [0] * width
-                    amp = 1.0
-                    for moves, a in parts:
-                        amp *= a
-                        for dest, n in moves:
-                            occ[dest] = n
-                    if abs(amp) > PRUNE_EPS:
-                        terms[tuple(occ)] = amp
-                yield weight * branch.weight, terms, branch
+                supported = _joint_terms(branch, [moved[b] for _, moved in combo])
+                if supported:
+                    yield weight * branch.weight, supported, branch
+
+
+def _joint_terms(branch: _Branch, parts: list) -> list:
+    """(occupation bytes, local occupations, amplitude) of the product of
+    parts' terms with a photon in every arm, in product order."""
+    full = (1 << len(branch.arms)) - 1
+    # rest[k]: the arms the parts after k can reach
+    rest = [0] * len(parts)
+    for k in range(len(parts) - 1, 0, -1):
+        rest[k - 1] = rest[k] | parts[k].reach
+    partials = [(0, 1.0, ())]
+    for part, later in zip(parts, rest):
+        partials = [
+            (covered | mask, amp * a, moves + m)
+            for covered, amp, moves in partials
+            for m, a, mask in part.covering(full & ~(covered | later))
+        ]
+    width = len(branch.registry)
+    out = []
+    for _, amp, moves in partials:
+        if abs(amp) > PRUNE_EPS:
+            occ = [0] * width
+            for dest, n in moves:
+                occ[dest] = n
+            out.append((bytes(occ), branch.local(occ), amp))
+    return out
 
 
 # ---- Detection ----
@@ -880,26 +927,24 @@ def _expand(rows: np.ndarray, weights: np.ndarray, vectors: np.ndarray) -> np.nd
 
 def _pattern_vectors(apparatus: Apparatus, members, settings) -> list:
     """Per-pulse probabilities of the 2^n accepted patterns under each
-    setting, summed over one stream of (weight, terms, branch) members.
+    setting, summed over one stream of (weight, supported, branch) members
+    from _members, which hold only the terms with a photon in every arm.
 
-    Only terms with a photon in every arm can fire every arm. They are
-    grouped into coherence classes, the terms an analyzer can mix: at a
-    rotated setting the terms with equal photon numbers per (arm, tag)
-    slot, at HV each term alone. Neither the supported terms nor the
-    classes depend on the angles, so each member is split once into one
-    _PatternSum for the whole plan, which then reduces every setting
-    together: per-arm rows and class contractions carry the settings as
-    an array axis instead of being recomputed per setting.
+    The supported terms are grouped into coherence classes, the terms an
+    analyzer can mix: at a rotated setting the terms with equal photon
+    numbers per (arm, tag) slot, at HV each term alone. Neither the terms
+    nor the classes depend on the angles, so each member is split once
+    into one _PatternSum for the whole plan, which then reduces every
+    setting together: per-arm rows and class contractions carry the
+    settings as an array axis instead of being recomputed per setting.
 
     The vectors are indexed with the first arm varying fastest, the
     reverse of the order all_detection_patterns labels. This is a known
     defect kept so that recorded benchmark distributions still match.
     """
     plan = _PatternSum(apparatus.n_arms, list(settings))
-    for weight, terms, branch in members:
-        supported = branch.supported(terms)
-        if supported:
-            plan.add(branch, weight, supported)
+    for weight, supported, branch in members:
+        plan.add(branch, weight, supported)
     return plan.vectors()
 
 
@@ -972,10 +1017,12 @@ def outcome_distribution(apparatus: Apparatus, setting: MeasurementSetting) -> d
 def emission_pattern_probability(apparatus: Apparatus, pairs_per_source) -> float:
     """Accepted probability contributed by one emission pattern alone.
 
-    Takes no counting shortcut: the pattern's state goes through the
-    compiled fusion optics and detectors whether or not a quick occupancy
-    argument would admit it, so the result is an independent check on the
-    enumeration in the topology module.
+    Takes no counting shortcut from the topology module: the pattern's
+    state goes through the compiled fusion optics and detectors whether or
+    not the topology enumerator would admit it. The only terms _members
+    leaves out are those its arm masks, read off the compiled fusion
+    image, show to miss an arm, so the result is an independent check on
+    admitted_patterns.
     """
     counts = tuple(int(n) for n in pairs_per_source)
     if len(counts) != len(apparatus.sources):

@@ -1,13 +1,18 @@
 """Tests for the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import photonfusion
 from photonfusion import experiment
@@ -23,6 +28,7 @@ from photonfusion.config import (
 )
 
 PAIR_SETTINGS = ("HV", "k0", "k2", "k4", "k6")
+ALL_LABELS = ("HV",) + tuple(f"k{k}" for k in range(8))
 
 
 def pair_config(tmp_path, *, name="pair.json", seed=7, exact_overlaps=True,
@@ -250,6 +256,59 @@ def test_default_plan_fits_the_source_count(tmp_path, count):
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
     assert len(list(out.glob("*.csv"))) == 1 + 2 * count
     assert main(["analyze", str(out), "--config", str(path)]) == 0
+
+
+def test_analyze_reads_the_witness_plan_of_a_larger_plan(tmp_path):
+    # two sources under the nine default labels: all nine are simulated and
+    # written, and the witness reads HV, k0, k2, k4 and k6
+    path = tmp_path / "config.json"
+    out = tmp_path / "out"
+    path.write_text(json.dumps({"sources": {"count": 2}, "run": {"settings": ALL_LABELS}}))
+    assert main(["simulate", "--config", str(path), "--out", str(out), "--exact"]) == 0
+    assert len(list(out.glob("*.csv"))) == 9
+    (out / "k1.csv").unlink()
+    assert main(["analyze", str(out), "--config", str(path)]) == 0
+    report = json.loads((out / "witness.json").read_text())
+    assert sorted(k for k in report if k.startswith("m_k_")) == [f"m_k_{k}" for k in range(4)]
+
+
+WITNESS_PLANS = {1: ("HV", "k0", "k4"), 2: PAIR_SETTINGS, 4: ALL_LABELS}
+
+
+@st.composite
+def round_trip_configs(draw):
+    count = draw(st.sampled_from((1, 2, 4)))
+    witness = WITNESS_PLANS[count]
+    extra = draw(st.sets(st.sampled_from(ALL_LABELS[1:])))
+    labels = draw(st.permutations(witness + tuple(sorted(extra - set(witness)))))
+    unit = st.floats(0.0, 1.0)
+    return {
+        "sources": {
+            "count": count,
+            "pair_probability": draw(st.floats(0.02, 0.3)),
+            "synthesizer_overlap": draw(unit),
+            "fusion_overlap": draw(unit),
+            "truncation_pairs": draw(st.integers(count, count + 1)),
+        },
+        "topology": {"shape": draw(st.sampled_from(("star", "chain")))},
+        "detection": {"efficiency": draw(st.floats(0.3, 1.0))},
+        # long enough that every sampled histogram holds events: a run that
+        # records none is refused by analyze ("histogram has no events")
+        "run": {"settings": labels, "duration_hours": {lab: 1000.0 for lab in labels}},
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=round_trip_configs())
+def test_every_valid_config_round_trips(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(data))
+        for flags in ([], ["--exact"]):
+            out = str(Path(tmp) / f"out{len(flags)}")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["simulate", "--config", str(path), "--out", out, *flags]) == 0
+                assert main(["analyze", out, "--config", str(path)]) == 0
 
 
 # ---- analyze ----

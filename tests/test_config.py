@@ -177,9 +177,41 @@ def test_every_listed_setting_needs_a_duration():
 
 def test_extra_durations_are_allowed():
     data = config_to_dict(default_config())
-    data["run"]["settings"] = ["HV", "k0"]
+    data["sources"]["count"] = 2
+    data["run"]["settings"] = ["HV", "k0", "k2", "k4", "k6"]
     cfg = config_from_dict(data)
     assert set(cfg.run.duration_hours) == set(SETTING_LABELS)
+
+
+@pytest.mark.parametrize(
+    "count,truncation,pair_probability",
+    [(4, 3, 0.058), (2, 1, 0.058), (1, 1, 0.0), (4, 4, 0.0)],
+)
+def test_config_accepting_nothing_rejected(count, truncation, pair_probability):
+    # each arm needs a photon: 2 * count arms need count pairs, and p > 0
+    data = config_to_dict(default_config())
+    data["sources"].update(
+        count=count, truncation_pairs=truncation, pair_probability=pair_probability
+    )
+    with pytest.raises(ConfigError, match="no accepted coincidences"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "count,settings,lacking",
+    [
+        (4, ["HV"], "k0, k1, k2, k3, k4, k5, k6, k7"),
+        (4, ["HV", "k0", "k2", "k4", "k6"], "k1, k3, k5, k7"),
+        (2, ["HV", "k0", "k1", "k2", "k3"], "k4, k6"),
+        (1, ["k0", "k4"], "HV"),
+    ],
+)
+def test_plan_without_the_witness_plan_rejected(count, settings, lacking):
+    data = config_to_dict(default_config())
+    data["sources"]["count"] = count
+    data["run"]["settings"] = settings
+    with pytest.raises(ConfigError, match=f"lacks {lacking} of the witness plan"):
+        config_from_dict(data)
 
 
 def test_nonpositive_duration_rejected():

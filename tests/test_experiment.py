@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import beamsplitter_matrix
+from oracles import arm_groups, beamsplitter_matrix, coincidence_support, members_for_pattern
 from oracles import outcome_distribution as oracle_distribution
 from photonfusion import experiment
 from photonfusion.config import ConfigError, config_from_dict, config_to_dict, default_config
@@ -43,6 +43,7 @@ from photonfusion.fock import ModeLabel, map_modes, registry_from, tensor_produc
 from photonfusion.sources import TAG_BROAD, TAG_NARROW, PdcSource, emission_sector
 from photonfusion.topology import (
     FusionTopology,
+    admitted_patterns,
     chain_topology,
     n_fold_rate,
     single_source_topology,
@@ -971,6 +972,60 @@ def test_fusion_compile_pushes_only_occupied_modes(monkeypatch):
     assert sum(name.startswith("fuse-") for name in calls) == 2 * 12
 
 
+def _supported_terms_from_oracle(app, patterns):
+    """Terms with a photon in every arm, counted on the oracle's members."""
+    groups = {
+        marked: arm_groups(registry, app.output_arms)
+        for marked, registry in ((False, app.plain_registry), (True, app.marked_registry))
+    }
+    return sum(
+        len(coincidence_support(state, groups[marked]).terms)
+        for counts in patterns
+        for _, state, marked in members_for_pattern(app, counts)
+    )
+
+
+@pytest.mark.parametrize(
+    "topology,fusion_overlap,truncation",
+    [(star_topology(), 0.76, 5), (chain_topology(3), 0.6, 5)],
+    ids=["star-4", "chain-3"],
+)
+def test_members_assemble_only_supported_terms(topology, fusion_overlap, truncation):
+    app = assemble_apparatus(
+        topology, pair_probability=0.058, synthesizer_overlap=0.94,
+        fusion_overlap=fusion_overlap, detector_efficiency=0.265,
+        truncation_pairs=truncation,
+    )
+    patterns = [
+        counts
+        for order in range(truncation + 1)
+        for counts in admitted_patterns(topology, order)
+    ]
+    n_terms = 0
+    for _, supported, branch in experiment._members(app, patterns):
+        groups = arm_groups(branch.registry, app.output_arms)
+        for occ, _, _ in supported:
+            assert all(sum(occ[i] for i in h + v) for h, v in groups)
+            n_terms += 1
+    assert n_terms == _supported_terms_from_oracle(app, patterns)
+
+
+def test_members_build_each_source_ensemble_once(monkeypatch):
+    calls = []
+    ensemble = experiment.source_ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "source_ensemble", counted)
+    app = dataclasses.replace(build_apparatus(default_config()), truncation_pairs=6)
+    absolute_outcome_distribution(app, hv_setting())
+    # each of the four sources emits one to three pairs at truncation 6
+    assert len(set(calls)) == 4 * 3
+    assert len(calls) == len(set(calls))
+
+
 def single_term_distribution(app, bits):
     """Hand-built member: one photon per arm, polarizations from bits,
     detected at HV with unit efficiency."""
@@ -978,7 +1033,8 @@ def single_term_distribution(app, bits):
     occ = [0] * len(registry)
     for arm, pol in zip(app.output_arms, bits):
         occ[registry.index(ModeLabel(arm, pol))] = 1
-    member = (1.0, {tuple(occ): 1.0 + 0j}, app._branches[0])
+    branch = app._branches[0]
+    member = (1.0, [(bytes(occ), branch.local(occ), 1.0 + 0j)], branch)
     (vector,) = _pattern_vectors(app, [member], [hv_setting()])
     return dict(zip((p.bits for p in all_detection_patterns(app.n_arms)), vector))
 
