@@ -92,9 +92,12 @@ def cmd_simulate(args) -> int:
     settings = [setting_from_label(label, apparatus.n_arms) for label in config.run.settings]
     # one pass over the emission ensemble fills the apparatus's cache with
     # every setting of the plan; each setting below reads its distribution
-    absolute_outcome_distributions(apparatus, settings)
-    for label, setting in zip(config.run.settings, settings):
-        duration_s = config.run.duration_hours[label] * 3600.0
+    absolutes = absolute_outcome_distributions(apparatus, settings)
+    histograms = []
+    empty = []
+    for label, setting, absolute in zip(config.run.settings, settings, absolutes):
+        hours = config.run.duration_hours[label]
+        duration_s = hours * 3600.0
         if args.exact:
             dist = outcome_distribution(apparatus, setting)
             if abs(sum(dist.values()) - 1.0) > 1e-9:
@@ -104,6 +107,16 @@ def cmd_simulate(args) -> int:
             hist = CoincidenceHistogram(setting, dist, duration_s, seed, exact=True)
         else:
             hist = monte_carlo_counts(apparatus, setting, duration_s, seed)
+        if not hist.total:
+            expected = apparatus.repetition_rate_hz * sum(absolute.values()) * duration_s
+            empty.append(
+                f"{label} records no events in {hours:g} h ({expected:.3g} expected)"
+            )
+        histograms.append((label, hist))
+    # analyze refuses a histogram without events, so none is written
+    if empty:
+        raise ConfigError(empty + ["lengthen run.duration_hours"])
+    for label, hist in histograms:
         path = out_dir / f"{label}.csv"
         _atomic_write(path, "\n".join(histogram_to_lines(hist)) + "\n")
         print(f"{label}: {hist.total:g} events -> {path}")

@@ -351,8 +351,11 @@ class Apparatus:
 
 
 def _arm_registry(arms, tags) -> ModeRegistry:
+    """Modes arm by arm, then tag by tag, H before V: each arm is one
+    contiguous run of (H, V) slots, so a packed occupation is already laid
+    out per arm."""
     return registry_from(
-        [ModeLabel(arm, pol, tag) for arm in arms for pol in ("H", "V") for tag in tags]
+        [ModeLabel(arm, pol, tag) for arm in arms for tag in tags for pol in ("H", "V")]
     )
 
 
@@ -423,7 +426,8 @@ def build_apparatus(config: ExperimentConfig) -> Apparatus:
 
 
 def _compile_fusion(apparatus: Apparatus, registry, optics, marked: bool) -> tuple:
-    """Per tagged source mode: (index in the branch registry after the
+    """Per source, its fusion image: per tagged source mode, in
+    source_mode_labels order, (index in the branch registry after the
     fusion optics, phase), or None for a mode that is never occupied.
 
     A source's narrowband photons leave on arm_a and its broadband ones on
@@ -440,39 +444,37 @@ def _compile_fusion(apparatus: Apparatus, registry, optics, marked: bool) -> tup
     occupies, since apply_element passes every other term through as it
     is.
     """
-    own = {}
-    mark = {}
+    images = []
     for i, source in enumerate(apparatus.sources):
-        own[source.arm_a] = TAG_NARROW
-        own[source.arm_b] = TAG_BROAD
-        mark[source.arm_a] = mark[source.arm_b] = f"m{i + 1}"
-    width = len(registry)
-    image = []
-    for lab in apparatus.registry:
-        if lab.tag != own.get(lab.arm):
-            image.append(None)
-            continue
-        label = ModeLabel(lab.arm, lab.pol, mark[lab.arm] if marked else "")
-        i = registry.index(label)
-        occ = [0] * width
-        occ[i] = 1
-        state = AmplitudeState(registry, {tuple(occ): 1.0 + 0j}, 1)
-        occupied = {i}
-        for el in optics:
-            if occupied.isdisjoint(el.mode_indices):
+        own = {source.arm_a: TAG_NARROW, source.arm_b: TAG_BROAD}
+        mark = f"m{i + 1}" if marked else ""
+        image = []
+        for lab in source_mode_labels(source):
+            if lab.tag != own[lab.arm]:
+                image.append(None)
                 continue
-            state = apply_element(state, el)
-            occupied = {out.index(1) for out in state.terms}
-        if len(state.terms) != 1:
-            raise ValueError(
-                f"fusion optics are not monomial: mode {label} leaves in "
-                f"{len(state.terms)} modes"
-            )
-        ((out, phase),) = state.terms.items()
-        if abs(abs(phase) - 1.0) > UNITARITY_TOL:
-            raise ValueError(f"fusion optics scale mode {label} by {abs(phase)}")
-        image.append((out.index(1), phase))
-    return tuple(image)
+            label = ModeLabel(lab.arm, lab.pol, mark)
+            j = registry.index(label)
+            occ = [0] * len(registry)
+            occ[j] = 1
+            state = AmplitudeState(registry, {tuple(occ): 1.0 + 0j}, 1)
+            occupied = {j}
+            for el in optics:
+                if occupied.isdisjoint(el.mode_indices):
+                    continue
+                state = apply_element(state, el)
+                occupied = {out.index(1) for out in state.terms}
+            if len(state.terms) != 1:
+                raise ValueError(
+                    f"fusion optics are not monomial: mode {label} leaves in "
+                    f"{len(state.terms)} modes"
+                )
+            ((out, phase),) = state.terms.items()
+            if abs(abs(phase) - 1.0) > UNITARITY_TOL:
+                raise ValueError(f"fusion optics scale mode {label} by {abs(phase)}")
+            image.append((out.index(1), phase))
+        images.append(tuple(image))
+    return tuple(images)
 
 
 class _Branch:
@@ -484,14 +486,15 @@ class _Branch:
     every mode also carries the mark of its photon's source, so photons
     from different sources never interfere.
 
-    An arm's local occupation lists its (H, V) photon numbers per tag,
-    tags in registry order; one tag's (H, V) pair is a slot. Memos fill
-    as settings are computed, since none depends on the setting: firing
-    probabilities per joint plus count, which depend on the detector
-    efficiency alone; a slot's analyzer amplitudes per (angle, photon
-    number); and an arm's row per (angle, photon numbers of its occupied
-    slots). All are shared by every setting, arm and slot at that angle,
-    since every analyzer of a branch applies one matrix to one slot.
+    The registry is laid out arm by arm (_arm_registry): arm a holds modes
+    a * width to (a + 1) * width - 1, and each adjacent (H, V) pair of
+    modes, one per tag, is a slot. Memos fill as settings are computed,
+    since none depends on the setting: firing probabilities per joint plus
+    count, which depend on the detector efficiency alone; a slot's
+    analyzer amplitudes per (angle, photon number); and an arm's row per
+    (angle, photon numbers of its occupied slots). All are shared by every
+    setting, arm and slot at that angle, since every analyzer of a branch
+    applies one matrix to one slot.
     """
 
     def __init__(self, apparatus: Apparatus, marked: bool, weight: float):
@@ -503,37 +506,18 @@ class _Branch:
             optics = apparatus.fusion_elements + apparatus.compensator_elements
         self.weight = weight
         self.registry = registry
-        self.image = _compile_fusion(apparatus, registry, optics, marked)
+        self.images = _compile_fusion(apparatus, registry, optics, marked)
         self.arms = apparatus.output_arms
         self.tags = _tags(registry)
+        self.width = 2 * len(self.tags)
         self.miss = 1.0 - apparatus.detector_efficiency
-        self.modes = tuple(
-            tuple(
-                registry.index(ModeLabel(arm, pol, tag))
-                for tag in self.tags
-                for pol in ("H", "V")
-            )
-            for arm in self.arms
-        )
-        # the arm of each branch mode, as a one-bit mask
-        self.arm_bits = [0] * len(registry)
-        for a, modes in enumerate(self.modes):
-            for m in modes:
-                self.arm_bits[m] = 1 << a
-        self._getters = [operator.itemgetter(*modes) for modes in self.modes]
-        self._h = operator.itemgetter(*(m for modes in self.modes for m in modes[0::2]))
-        self._v = operator.itemgetter(*(m for modes in self.modes for m in modes[1::2]))
         self._weights: dict = {}
         self._analyzers: dict = {}
         self._rows: dict = {}
 
-    def local(self, occ) -> tuple:
-        """An occupation's local occupations, arm by arm."""
-        return tuple([get(occ) for get in self._getters])
-
     def photons(self, occ) -> tuple:
         """An occupation's photon numbers per slot, arm by arm."""
-        return tuple(map(operator.add, self._h(occ), self._v(occ)))
+        return tuple(map(operator.add, occ[0::2], occ[1::2]))
 
     def weights(self, ns: tuple) -> np.ndarray:
         """Firing probabilities per joint plus count of an arm's slots holding
@@ -552,19 +536,18 @@ class _Branch:
     def analyzer(self, theta: float, n: int) -> np.ndarray:
         """<p +, (n-p) -| analyzer |h H, (n-h) V> of a slot holding n
         photons, as a matrix [p, h], read off the branch's own analyzer
-        element (first arm, first tag) with apply_element; an amplitude
-        apply_element drops is an exact zero."""
+        element (first arm, first tag: modes 0 and 1) with apply_element;
+        an amplitude apply_element drops is an exact zero."""
         u = self._analyzers.get((theta, n))
         if u is None:
-            modes = self.modes[0][:2]
             element = _analyzer_element(self.registry, self.arms[0], self.tags[0], theta)
             u = self._analyzers[(theta, n)] = np.zeros((n + 1, n + 1), dtype=complex)
             for h in range(n + 1):
                 occ = [0] * len(self.registry)
-                occ[modes[0]], occ[modes[1]] = h, n - h
+                occ[0], occ[1] = h, n - h
                 state = AmplitudeState(self.registry, {tuple(occ): 1.0 + 0j}, n)
                 for out, a in apply_element(state, element).terms.items():
-                    u[out[modes[0]], h] = a
+                    u[out[0], h] = a
         return u
 
     def row(self, theta, slots: tuple) -> tuple:
@@ -609,8 +592,9 @@ class _Moved:
 
     __slots__ = ("terms", "reach", "_covering")
 
-    def __init__(self, state: AmplitudeState, branch: _Branch, offset: int):
-        """state's modes start at offset in the apparatus registry."""
+    def __init__(self, state: AmplitudeState, image: tuple, width: int):
+        """image is the fusion image of state's source, width the branch's
+        modes per arm."""
         self.terms = []
         self.reach = 0
         for occ, amp in state.terms.items():
@@ -618,9 +602,9 @@ class _Moved:
             mask = 0
             for j, n in enumerate(occ):
                 if n:
-                    dest, phase = branch.image[offset + j]
+                    dest, phase = image[j]
                     moves.append((dest, n))
-                    mask |= branch.arm_bits[dest]
+                    mask |= 1 << dest // width
                     amp *= phase**n
             self.terms.append((tuple(moves), amp, mask))
             self.reach |= mask
@@ -635,18 +619,18 @@ class _Moved:
 
 def _members(apparatus: Apparatus, patterns):
     """Yield (weight, supported, branch) members of each emission pattern
-    after fusion and compensation: supported lists (occupation, local
-    occupations, amplitude) of the member's terms with a photon in every
-    arm, the only ones that can fire every arm. The occupation of the
-    branch registry is packed into bytes, which a plan keeps per key; the
-    local occupations are branch.local's. A member without such a term
-    is not yielded.
+    after fusion and compensation: supported lists (occupation, amplitude)
+    of the member's terms with a photon in every arm, the only ones that
+    can fire every arm. The occupation of the branch registry is packed
+    into bytes, arm by arm, and a plan keeps it per key. A member without
+    such a term is not yielded.
 
     The weight of a member is the product of its per-source ensemble
     weights and the branch weight; states are unnormalized, so a member's
     accepted probability is weight times the detection value of its
     amplitudes. A joint amplitude at or below fock.PRUNE_EPS is dropped,
-    as tensor_product drops it.
+    as the reference construction's tensor product of the sources' states
+    drops it.
 
     Each source's ensemble is moved through each branch's compiled fusion
     image once per pair count, and every moved term carries the arms its
@@ -660,10 +644,6 @@ def _members(apparatus: Apparatus, patterns):
     enumerator, so a pattern it admits wrongly yields nothing here.
     """
     branches = apparatus._branches
-    # the apparatus registry lists each source's modes in turn
-    offsets = list(
-        itertools.accumulate((len(source_mode_labels(s)) for s in apparatus.sources), initial=0)
-    )
     pieces: dict = {}
     for counts in patterns:
         per_source = []
@@ -671,7 +651,7 @@ def _members(apparatus: Apparatus, patterns):
             piece = pieces.get((i, n))
             if piece is None:
                 piece = pieces[(i, n)] = [
-                    (w, [_Moved(st, b, offsets[i]) for b in branches])
+                    (w, [_Moved(st, b.images[i], b.width) for b in branches])
                     for w, st in source_ensemble(apparatus.sources[i], n)
                 ]
             per_source.append(piece)
@@ -686,8 +666,8 @@ def _members(apparatus: Apparatus, patterns):
 
 
 def _joint_terms(branch: _Branch, parts: list) -> list:
-    """(occupation bytes, local occupations, amplitude) of the product of
-    parts' terms with a photon in every arm, in product order."""
+    """(occupation bytes, amplitude) of the product of parts' terms with a
+    photon in every arm, in product order."""
     full = (1 << len(branch.arms)) - 1
     # rest[k]: the arms the parts after k can reach
     rest = [0] * len(parts)
@@ -707,7 +687,7 @@ def _joint_terms(branch: _Branch, parts: list) -> list:
             occ = [0] * width
             for dest, n in moves:
                 occ[dest] = n
-            out.append((bytes(occ), branch.local(occ), amp))
+            out.append((bytes(occ), amp))
     return out
 
 
@@ -816,19 +796,21 @@ class _PatternSum:
         for e in np.flatnonzero(~passed.all(axis=0)):
             branch, occ, amp = keys[e]
             below = ~passed[:, e]
-            term = (occ, branch.local(occ), amp)
-            vector = self.singles[keys[e]] * self._contract(branch, [term])
+            vector = self.singles[keys[e]] * self._contract(branch, [(occ, amp)])
             vectors[below] += vector[below]
         return _expand(rows, np.where(passed, weights, 0.0), vectors)
 
     def _rows(self, keys, angle_rows) -> np.ndarray:
         """(settings, keys, arms, 3): each key's arm rows, (first, second,
         floor), under each setting's per-arm angles; read from one table
-        over the distinct (branch, arm-local occupation) pairs and the
-        distinct angles of the plan."""
+        over the distinct (branch, arm's slice of the occupation) pairs and
+        the distinct angles of the plan."""
         pairs: dict = {}
         index = [
-            [pairs.setdefault((branch, arm), len(pairs)) for arm in branch.local(occ)]
+            [
+                pairs.setdefault((branch, occ[start : start + branch.width]), len(pairs))
+                for start in range(0, len(occ), branch.width)
+            ]
             for branch, occ, _ in keys
         ]
         thetas: dict = {}
@@ -852,19 +834,19 @@ class _PatternSum:
         amplitudes at or below fock.PRUNE_EPS are dropped after each, as
         apply_element drops them.
         """
-        first = terms[0][1]
+        first = terms[0][0]
+        # (arm, H mode, photon number) of each occupied slot, in mode order
         slots = [
-            (a, t, local[t] + local[t + 1])
-            for a, local in enumerate(first)
-            for t in range(0, len(local), 2)
-            if local[t] + local[t + 1]
+            (t // branch.width, t, first[t] + first[t + 1])
+            for t in range(0, len(first), 2)
+            if first[t] + first[t + 1]
         ]
         n_settings = len(self.rotated)
         # amps[setting, column, output of the last analyzed slot, ..., of the
         # first]: one column per distinct H-count tuple of the slots not
         # analyzed yet, as every other column of the whole tensor is zero
-        rests = [tuple(local[a][t] for a, t, _ in slots) for _, local, _ in terms]
-        amps = np.array([[amp for _, _, amp in terms]] * n_settings, dtype=complex)
+        rests = [tuple(occ[t] for _, t, _ in slots) for occ, _ in terms]
+        amps = np.array([[amp for _, amp in terms]] * n_settings, dtype=complex)
         for a, _, n in slots:
             u = np.array([branch.analyzer(angles[a], n) for angles in self.rotated])
             u = u.reshape(u.shape + (1,) * (amps.ndim - 2))
@@ -879,7 +861,7 @@ class _PatternSum:
         # arms last to first on the axes; each arm's firing pair goes last,
         # so the first arm varies fastest in the end
         prob = np.abs(amps[:, 0]) ** 2
-        per_arm = [tuple(n for b, _, n in slots if b == a) for a in range(len(first))]
+        per_arm = [tuple(n for b, _, n in slots if b == a) for a in range(self.n_arms)]
         per_arm.reverse()
         prob = prob.reshape([n_settings] + [math.prod(n + 1 for n in ns) for ns in per_arm])
         for ns in per_arm:
@@ -896,7 +878,7 @@ class _PatternSum:
 
 
 def _tally(sums: dict, branch: _Branch, weight: float, terms) -> None:
-    for occ, _, amp in terms:
+    for occ, amp in terms:
         key = (branch, occ, abs(amp))
         sums[key] = sums.get(key, 0.0) + weight
 
@@ -1215,6 +1197,8 @@ def histogram_from_lines(lines) -> CoincidenceHistogram:
         pat = known.get(bits)
         if pat is None:
             pat = DetectionPattern(bits)
+        if pat in counts:
+            raise ValueError(f"duplicate pattern row {bits!r}")
         counts[pat] = int(value) if value.is_integer() else value
     if not counts:
         raise ValueError("histogram has no pattern rows")

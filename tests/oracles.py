@@ -7,6 +7,8 @@ here rebuild the same physics another way so the two can be compared:
 
 - raw creation operators on the vacuum, for the Fock inputs of element
   tests and the operator-expansion check of ``pdc_emit``;
+- tensor products and mode relabeling, which join the sources' states
+  into one state over a branch's modes the generic way;
 - the element-by-element synthesizer: ``pdc_emit`` pushed through the
   synthesizer optics must equal ``synthesized_pair_state``, whose
   sectors must equal ``emission_sector``;
@@ -37,8 +39,6 @@ from photonfusion.fock import (
     ModeLabel,
     ModeRegistry,
     _pruned,
-    map_modes,
-    tensor_product,
 )
 from photonfusion.sources import (
     TAG_BROAD,
@@ -84,6 +84,71 @@ def apply_pair_creation(
 ) -> AmplitudeState:
     """Two creations at once; reads better in pair-source code."""
     return apply_creation(apply_creation(state, first), second, coeff)
+
+
+# ---- Fock algebra ----
+
+
+def tensor_product(
+    a: AmplitudeState, b: AmplitudeState, truncation: int | None = None
+) -> AmplitudeState:
+    """Combine states over disjoint registries into one over both.
+
+    The combined registry lists a's modes then b's; amplitudes multiply.
+    Truncation defaults to the sum of the two budgets; pass a smaller cap
+    to drop high-photon-number cross terms.
+    """
+    shared = set(a.registry.labels) & set(b.registry.labels)
+    if shared:
+        raise ValueError(f"registries overlap on {sorted(shared)[:3]}")
+    combined = ModeRegistry(a.registry.labels + b.registry.labels)
+    trunc = a.truncation_order + b.truncation_order
+    if truncation is not None:
+        trunc = min(trunc, truncation)
+    out: dict = {}
+    for occ_a, amp_a in a.terms.items():
+        base = sum(occ_a)
+        if base > trunc:
+            continue
+        for occ_b, amp_b in b.terms.items():
+            if base + sum(occ_b) > trunc:
+                continue
+            out[occ_a + occ_b] = amp_a * amp_b
+    return AmplitudeState(combined, _pruned(out), trunc)
+
+
+def map_modes(
+    state: AmplitudeState, new_registry: ModeRegistry, relabel
+) -> AmplitudeState:
+    """Re-express a state in another registry via a label mapping.
+
+    relabel is a callable ModeLabel -> ModeLabel. Every occupied mode must
+    map to a distinct mode of the new registry; amplitudes are untouched,
+    so this is a pure renaming (norms are preserved).
+    """
+    src = state.registry
+    dest_index = [None] * len(src)
+    for i, lab in enumerate(src):
+        target = relabel(lab)
+        if target is not None:
+            dest_index[i] = new_registry.index(target)
+    seen = [d for d in dest_index if d is not None]
+    if len(set(seen)) != len(seen):
+        raise ValueError("relabeling collapses two modes onto one")
+    width = len(new_registry)
+    out: dict = {}
+    for occ, a in state.terms.items():
+        new_occ = [0] * width
+        for i, n in enumerate(occ):
+            if not n:
+                continue
+            d = dest_index[i]
+            if d is None:
+                raise ValueError(f"occupied mode {src.labels[i]} has no target")
+            new_occ[d] = n
+        key = tuple(new_occ)
+        out[key] = out.get(key, 0j) + a
+    return AmplitudeState(new_registry, out, state.truncation_order)
 
 
 # ---- Optics ----

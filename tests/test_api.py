@@ -1,4 +1,5 @@
 import photonfusion
+from photonfusion import fock
 
 WORKFLOW_API = (
     "Apparatus",
@@ -38,6 +39,13 @@ WORKFLOW_API = (
     "synthesizer_visibility",
     "witness_from_histograms",
 )
+
+
+def test_fock_keeps_no_test_only_algebra():
+    # tensor products and mode relabeling are reference constructions
+    # (tests/oracles.py); the simulator joins sources through compiled images
+    assert not hasattr(fock, "tensor_product")
+    assert not hasattr(fock, "map_modes")
 
 
 def test_package_exports_exactly_the_workflow_api():

@@ -230,6 +230,24 @@ def test_simulate_unreachable_coincidence_is_config_error(tmp_path, capsys):
     assert "no accepted coincidences" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_run_too_short_to_record_events(tmp_path, capsys):
+    cfg = ExperimentConfig(
+        sources=SourceSettings(count=2, pair_probability=0.02, truncation_pairs=2),
+        run=RunPlanSettings(
+            settings=PAIR_SETTINGS,
+            duration_hours={label: 1e-6 for label in PAIR_SETTINGS},
+        ),
+        output=OutputSettings(directory=str(tmp_path / "out")),
+    )
+    path = tmp_path / "short.json"
+    save_config(cfg, path)
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "HV records no events" in err
+    assert "run.duration_hours" in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 @pytest.mark.parametrize("flags", [[], ["--exact"]], ids=["sampled", "exact"])
 def test_simulate_assembles_the_ensemble_once_per_plan(tmp_path, monkeypatch, flags):
     # the default plan has nine settings and one admitted emission pattern
@@ -292,8 +310,8 @@ def round_trip_configs(draw):
         },
         "topology": {"shape": draw(st.sampled_from(("star", "chain")))},
         "detection": {"efficiency": draw(st.floats(0.3, 1.0))},
-        # long enough that every sampled histogram holds events: a run that
-        # records none is refused by analyze ("histogram has no events")
+        # long enough that every sampled histogram holds events: simulate
+        # refuses a run in which some setting records none
         "run": {"settings": labels, "duration_hours": {lab: 1000.0 for lab in labels}},
     }
 

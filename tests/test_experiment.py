@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import arm_groups, beamsplitter_matrix, coincidence_support, members_for_pattern
+from oracles import (
+    arm_groups,
+    beamsplitter_matrix,
+    coincidence_support,
+    map_modes,
+    members_for_pattern,
+    tensor_product,
+)
 from oracles import outcome_distribution as oracle_distribution
 from photonfusion import experiment
 from photonfusion.config import ConfigError, config_from_dict, config_to_dict, default_config
@@ -39,7 +46,7 @@ from photonfusion.experiment import (
     synthesizer_visibility,
 )
 from photonfusion.elements import apply_element, element_on
-from photonfusion.fock import ModeLabel, map_modes, registry_from, tensor_product
+from photonfusion.fock import ModeLabel, registry_from
 from photonfusion.sources import TAG_BROAD, TAG_NARROW, PdcSource, emission_sector
 from photonfusion.topology import (
     FusionTopology,
@@ -786,6 +793,8 @@ def test_histogram_from_lines_errors():
         histogram_from_lines(["HV,1.0,3,sampled", "HH,1"])
     with pytest.raises(ValueError, match="rows"):
         histogram_from_lines(["HV,1.0,3"])
+    with pytest.raises(ValueError, match="duplicate pattern row 'HH'"):
+        histogram_from_lines(["HV,1.0,1", "HH,1", "HH,2", "HV,0", "VV,3"])
 
 
 # ---- Per-pattern accepted probability ----
@@ -1004,10 +1013,30 @@ def test_members_assemble_only_supported_terms(topology, fusion_overlap, truncat
     n_terms = 0
     for _, supported, branch in experiment._members(app, patterns):
         groups = arm_groups(branch.registry, app.output_arms)
-        for occ, _, _ in supported:
+        for occ, _ in supported:
             assert all(sum(occ[i] for i in h + v) for h, v in groups)
             n_terms += 1
     assert n_terms == _supported_terms_from_oracle(app, patterns)
+
+
+@pytest.mark.parametrize(
+    "topology", [star_topology(), chain_topology(3)], ids=["star-4", "chain-3"]
+)
+def test_branch_registries_are_arm_major(topology):
+    # an arm's modes are one contiguous run of (H, V) slots, tag by tag, so
+    # a packed occupation of the branch registry is its per-arm layout
+    app = assemble_apparatus(topology, pair_probability=0.05, fusion_overlap=0.6)
+    assert len(app._branches) == 2
+    for branch in app._branches:
+        width = 2 * len(branch.tags)
+        labels = list(branch.registry)
+        assert len(labels) == width * app.n_arms
+        for a, arm in enumerate(app.output_arms):
+            assert labels[a * width : (a + 1) * width] == [
+                ModeLabel(arm, pol, tag) for tag in branch.tags for pol in ("H", "V")
+            ]
+    # plain modes carry no tag, marked ones one mark per source
+    assert [branch.width for branch in app._branches] == [2, 2 * topology.n_sources]
 
 
 def test_members_build_each_source_ensemble_once(monkeypatch):
@@ -1034,7 +1063,7 @@ def single_term_distribution(app, bits):
     for arm, pol in zip(app.output_arms, bits):
         occ[registry.index(ModeLabel(arm, pol))] = 1
     branch = app._branches[0]
-    member = (1.0, [(bytes(occ), branch.local(occ), 1.0 + 0j)], branch)
+    member = (1.0, [(bytes(occ), 1.0 + 0j)], branch)
     (vector,) = _pattern_vectors(app, [member], [hv_setting()])
     return dict(zip((p.bits for p in all_detection_patterns(app.n_arms)), vector))
 

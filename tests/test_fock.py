@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import apply_creation, apply_pair_creation, vacuum
-from photonfusion.fock import (
-    AmplitudeState,
-    ModeLabel,
-    ModeRegistry,
-    map_modes,
-    registry_from,
-    tensor_product,
-)
+from oracles import apply_creation, apply_pair_creation, map_modes, tensor_product, vacuum
+from photonfusion.fock import AmplitudeState, ModeLabel, ModeRegistry, registry_from
 
 
 def two_mode_registry():

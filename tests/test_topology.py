@@ -6,8 +6,9 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import map_modes, tensor_product
 from photonfusion.elements import apply_element, element_on, pbs_matrix
-from photonfusion.fock import ModeLabel, map_modes, registry_from, tensor_product
+from photonfusion.fock import ModeLabel, registry_from
 from photonfusion.sources import TAG_BROAD, TAG_NARROW, PdcSource, emission_sector
 from photonfusion.topology import (
     EmissionPattern,
