@@ -277,9 +277,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MissingInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -7,7 +7,9 @@ a config that validates describes exactly one reproducible run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+import sys
+from dataclasses import asdict, dataclass, field, fields
 
 from .topology import (
     SHAPES,
@@ -48,13 +50,19 @@ class ConfigError(ValueError):
         super().__init__("invalid config: " + "; ".join(self.problems))
 
 
+def _ranged(default, *bounds):
+    """A numeric field with its default and its bounds: (lo, hi) for a
+    float (hi None for no upper bound), (lo,) for an int."""
+    return field(default=default, metadata={"range": bounds})
+
+
 @dataclass(frozen=True)
 class SourceSettings:
-    pair_probability: float = 0.058
-    synthesizer_overlap: float = 0.94
-    fusion_overlap: float = 0.76
-    truncation_pairs: int = 4
-    count: int = 4
+    pair_probability: float = _ranged(0.058, 0.0, 1.0)
+    synthesizer_overlap: float = _ranged(0.94, 0.0, 1.0)
+    fusion_overlap: float = _ranged(0.76, 0.0, 1.0)
+    truncation_pairs: int = _ranged(4, 1)
+    count: int = _ranged(4, 1)
 
 
 @dataclass(frozen=True)
@@ -67,15 +75,15 @@ class TopologySettings:
 
 @dataclass(frozen=True)
 class DetectionSettings:
-    efficiency: float = 0.265
-    repetition_rate_hz: float = 76e6
+    efficiency: float = _ranged(0.265, 0.0, 1.0)
+    repetition_rate_hz: float = _ranged(76e6, 0.0, None)
 
 
 @dataclass(frozen=True)
 class RunPlanSettings:
     settings: tuple = SETTING_LABELS
     duration_hours: dict = field(default_factory=lambda: dict(DEFAULT_DURATIONS))
-    seed: int = 1
+    seed: int = _ranged(1, 0)
 
 
 @dataclass(frozen=True)
@@ -121,38 +129,72 @@ def config_topology(config: ExperimentConfig) -> FusionTopology:
 # ---- Parsing ----
 
 
-def _take(data: dict, where: str, allowed, problems: list) -> dict:
-    extra = sorted(set(data) - set(allowed))
+def _take(data: dict, where: str, cls, problems: list) -> dict:
+    allowed = {f.name for f in fields(cls)}
+    extra = sorted(set(data) - allowed)
     for key in extra:
         problems.append(f"unknown key {where}.{key}")
     return {k: v for k, v in data.items() if k in allowed}
 
 
-def _number(data, key, where, problems, lo=None, hi=None, default=None):
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(data, key, where, problems, default, lo, hi):
     if key not in data:
         return default
     value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_real(value):
         problems.append(f"{where}.{key} must be a number")
         return default
-    value = float(value)
-    if lo is not None and value < lo or hi is not None and value > hi:
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the float range
+        value = math.inf if value > 0 else -math.inf
+    if not (math.isfinite(value) and lo <= value and (hi is None or value <= hi)):
         problems.append(f"{where}.{key}={value} outside [{lo}, {hi}]")
         return default
     return value
 
 
-def _integer(data, key, where, problems, lo=None, default=None):
+def _integer(data, key, where, problems, default, lo):
     if key not in data:
         return default
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, int):
         problems.append(f"{where}.{key} must be an integer")
         return default
-    if lo is not None and value < lo:
+    if value < lo:
         problems.append(f"{where}.{key}={value} below {lo}")
         return default
     return value
+
+
+def _scalars(data, where, cls, problems) -> dict:
+    """Every ranged field of a section, read from data within its range;
+    the field's default where data lacks it or holds a refused value."""
+    values = {}
+    for f in fields(cls):
+        if "range" in f.metadata:
+            read = _integer if isinstance(f.default, int) else _number
+            bounds = f.metadata["range"]
+            values[f.name] = read(data, f.name, where, problems, f.default, *bounds)
+    return values
+
+
+def _choices(value, where, allowed, problems) -> tuple:
+    """A non-empty list of distinct entries from allowed (all of them when
+    refused), compared by == alone, so an unhashable entry cannot raise."""
+    if not isinstance(value, (list, tuple)) or not value:
+        problems.append(f"{where} must be a non-empty list")
+        return allowed
+    for entry in value:
+        if entry not in allowed:
+            problems.append(f"{where} entry {entry!r} not one of {allowed}")
+    if any(entry in value[:i] for i, entry in enumerate(value)):
+        problems.append(f"{where} has duplicates")
+    return tuple(value)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -160,69 +202,47 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     problems: list = []
     if not isinstance(data, dict):
         raise ConfigError(["top level must be a mapping"])
-    top = _take(
-        data, "config", ("sources", "topology", "detection", "run", "output"), problems
-    )
+    top = _take(data, "config", ExperimentConfig, problems)
     for section, value in top.items():
         if not isinstance(value, dict):
             problems.append(f"config.{section} must be a mapping")
     top = {k: v for k, v in top.items() if isinstance(v, dict)}
 
-    src_d = _take(
-        top.get("sources", {}),
-        "sources",
-        (
-            "pair_probability",
-            "synthesizer_overlap",
-            "fusion_overlap",
-            "truncation_pairs",
-            "count",
-        ),
-        problems,
-    )
-    base = SourceSettings()
-    sources = SourceSettings(
-        pair_probability=_number(
-            src_d, "pair_probability", "sources", problems, 0.0, 1.0, base.pair_probability
-        ),
-        synthesizer_overlap=_number(
-            src_d, "synthesizer_overlap", "sources", problems, 0.0, 1.0, base.synthesizer_overlap
-        ),
-        fusion_overlap=_number(
-            src_d, "fusion_overlap", "sources", problems, 0.0, 1.0, base.fusion_overlap
-        ),
-        truncation_pairs=_integer(
-            src_d, "truncation_pairs", "sources", problems, 1, base.truncation_pairs
-        ),
-        count=_integer(src_d, "count", "sources", problems, 1, base.count),
-    )
-    count_ok = sources.count in (1, 2, 4)
-    if not count_ok:
-        problems.append(f"sources.count={sources.count} must be 1, 2, or 4")
+    src_d = _take(top.get("sources", {}), "sources", SourceSettings, problems)
+    sources = SourceSettings(**_scalars(src_d, "sources", SourceSettings, problems))
+    # the witness plan's angles j*pi/n over n = 2 * count arms must be
+    # named by k labels (k*pi/8), so n must divide 8
+    n_arms = 2 * sources.count
+    witness = _witness_plan(n_arms) if 8 % n_arms == 0 else None
+    if witness is None:
+        problems.append(
+            f"sources.count={sources.count}: the witness plan's {n_arms} arms need "
+            f"angles j*pi/{n_arms}, which k labels (k*pi/8) cannot name"
+        )
     # every arm must see a photon, and a pair feeds two arms
     elif sources.truncation_pairs < sources.count:
         problems.append(
             f"sources.truncation_pairs={sources.truncation_pairs} below "
             f"sources.count={sources.count}: no accepted coincidences, as "
-            f"{2 * sources.count} arms need at least {sources.count} pairs"
+            f"{n_arms} arms need at least {sources.count} pairs"
         )
     if sources.pair_probability == 0.0:
         problems.append("sources.pair_probability=0 gives no accepted coincidences")
 
-    topo_d = _take(
-        top.get("topology", {}), "topology", ("shape", "sources", "fusion_edges"), problems
-    )
-    shape = topo_d.get("shape", TopologySettings().shape)
+    topo_d = _take(top.get("topology", {}), "topology", TopologySettings, problems)
+    shape = topo_d.get("shape", TopologySettings.shape)
     if shape not in SHAPES:
         problems.append(f"topology.shape={shape!r} not one of {SHAPES}")
         shape = "star"
     def _pair_list(key):
-        raw = topo_d.get(key, ())
         try:
-            return tuple(tuple(entry) for entry in raw)
+            pairs = tuple(tuple(entry) for entry in topo_d.get(key, ()))
         except TypeError:
+            pairs = None
+        if pairs is None or not all(_is_real(arm) for pair in pairs for arm in pair):
             problems.append(f"topology.{key} must be a list of arm pairs")
             return ()
+        return pairs
 
     custom_sources = _pair_list("sources")
     custom_edges = _pair_list("fusion_edges")
@@ -240,37 +260,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         problems.append("topology.sources/fusion_edges are only for shape=custom")
     topology = TopologySettings(shape=shape, sources=custom_sources, fusion_edges=custom_edges)
 
-    det_d = _take(
-        top.get("detection", {}), "detection", ("efficiency", "repetition_rate_hz"), problems
-    )
-    det_base = DetectionSettings()
-    detection = DetectionSettings(
-        efficiency=_number(det_d, "efficiency", "detection", problems, 0.0, 1.0, det_base.efficiency),
-        repetition_rate_hz=_number(
-            det_d, "repetition_rate_hz", "detection", problems, 0.0, None, det_base.repetition_rate_hz
-        ),
-    )
+    det_d = _take(top.get("detection", {}), "detection", DetectionSettings, problems)
+    detection = DetectionSettings(**_scalars(det_d, "detection", DetectionSettings, problems))
     if detection.efficiency == 0.0:
         problems.append("detection.efficiency must be positive")
     if detection.repetition_rate_hz == 0.0:
         problems.append("detection.repetition_rate_hz must be positive")
 
-    run_d = _take(
-        top.get("run", {}), "run", ("settings", "duration_hours", "seed"), problems
-    )
-    run_base = RunPlanSettings()
-    labels = run_d.get("settings", _witness_plan(2 * sources.count))
-    if not isinstance(labels, (list, tuple)) or not labels:
-        problems.append("run.settings must be a non-empty list")
-        labels = run_base.settings
-    labels = tuple(labels)
-    for label in labels:
-        if label not in SETTING_LABELS:
-            problems.append(f"run.settings entry {label!r} not one of {SETTING_LABELS}")
-    if len(set(labels)) != len(labels):
-        problems.append("run.settings has duplicates")
-    if count_ok:
-        witness = _witness_plan(2 * sources.count)
+    run_d = _take(top.get("run", {}), "run", RunPlanSettings, problems)
+    labels = run_d.get("settings", witness or SETTING_LABELS)
+    labels = _choices(labels, "run.settings", SETTING_LABELS, problems)
+    if witness:
         lacking = [label for label in witness if label not in labels]
         if lacking:
             problems.append(
@@ -283,7 +283,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         durations = dict(DEFAULT_DURATIONS)
     clean_durations = {}
     for label, hours in durations.items():
-        if isinstance(hours, bool) or not isinstance(hours, (int, float)) or hours <= 0:
+        # finite: NaN, infinities and integers past the float range fail
+        if not _is_real(hours) or not 0 < hours <= sys.float_info.max:
             problems.append(f"run.duration_hours[{label!r}] must be a positive number")
         else:
             clean_durations[label] = float(hours)
@@ -293,25 +294,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     run = RunPlanSettings(
         settings=labels,
         duration_hours=clean_durations,
-        seed=_integer(run_d, "seed", "run", problems, 0, run_base.seed),
+        **_scalars(run_d, "run", RunPlanSettings, problems),
     )
 
-    out_d = _take(top.get("output", {}), "output", ("directory", "formats"), problems)
-    out_base = OutputSettings()
-    directory = out_d.get("directory", out_base.directory)
+    out_d = _take(top.get("output", {}), "output", OutputSettings, problems)
+    directory = out_d.get("directory", OutputSettings.directory)
     if not isinstance(directory, str) or not directory:
         problems.append("output.directory must be a non-empty string")
-        directory = out_base.directory
-    formats = out_d.get("formats", out_base.formats)
-    if not isinstance(formats, (list, tuple)) or not formats:
-        problems.append("output.formats must be a non-empty list")
-        formats = out_base.formats
-    formats = tuple(formats)
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            problems.append(f"output.formats entry {fmt!r} not one of ('csv', 'json')")
-    if len(set(formats)) != len(formats):
-        problems.append("output.formats has duplicates")
+        directory = OutputSettings.directory
+    formats = out_d.get("formats", OutputSettings.formats)
+    formats = _choices(formats, "output.formats", ("csv", "json"), problems)
     output = OutputSettings(directory=directory, formats=formats)
 
     if problems:
@@ -321,34 +313,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     )
 
 
+def _listed(value):
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
+
+
 def config_to_dict(config: ExperimentConfig) -> dict:
-    """Plain-JSON form; config_from_dict(config_to_dict(c)) == c."""
-    d = {
-        "sources": {
-            "pair_probability": config.sources.pair_probability,
-            "synthesizer_overlap": config.sources.synthesizer_overlap,
-            "fusion_overlap": config.sources.fusion_overlap,
-            "truncation_pairs": config.sources.truncation_pairs,
-            "count": config.sources.count,
-        },
-        "topology": {"shape": config.topology.shape},
-        "detection": {
-            "efficiency": config.detection.efficiency,
-            "repetition_rate_hz": config.detection.repetition_rate_hz,
-        },
-        "run": {
-            "settings": list(config.run.settings),
-            "duration_hours": dict(config.run.duration_hours),
-            "seed": config.run.seed,
-        },
-        "output": {
-            "directory": config.output.directory,
-            "formats": list(config.output.formats),
-        },
-    }
-    if config.topology.shape == "custom":
-        d["topology"]["sources"] = [list(s) for s in config.topology.sources]
-        d["topology"]["fusion_edges"] = [list(e) for e in config.topology.fusion_edges]
+    """Plain-JSON form, tuples as lists; config_from_dict(config_to_dict(c)) == c."""
+    d = asdict(config, dict_factory=lambda items: {k: _listed(v) for k, v in items})
+    if config.topology.shape != "custom":
+        d["topology"] = {"shape": config.topology.shape}
     return d
 
 

@@ -224,9 +224,9 @@ class CoincidenceHistogram:
         widths = {len(p.bits) for p in self.counts}
         if len(widths) > 1:
             raise ValueError("histogram mixes pattern widths")
-        if any(c < 0 for c in self.counts.values()):
+        if not all(0 <= c < math.inf for c in self.counts.values()):
             raise ValueError("negative count")
-        if self.duration_s <= 0:
+        if not 0 < self.duration_s < math.inf:
             raise ValueError("duration must be positive")
 
     @property

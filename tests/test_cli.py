@@ -24,6 +24,8 @@ from photonfusion.config import (
     RunPlanSettings,
     SourceSettings,
     TopologySettings,
+    config_to_dict,
+    default_config,
     save_config,
 )
 
@@ -81,6 +83,11 @@ def test_missing_config_file(tmp_path, capsys):
 def test_invalid_config_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
+    assert main(["simulate", "--config", str(path)]) == 2
+    # a malformed entry is refused, not raised on
+    data = config_to_dict(default_config())
+    data["run"]["settings"] = [["HV"], "k0"]
+    path.write_text(json.dumps(data))
     assert main(["simulate", "--config", str(path)]) == 2
 
 
@@ -347,6 +354,13 @@ def test_analyze_corrupt_histogram(tmp_path, capsys):
     (out / "k2.csv").write_text("garbage\n")
     assert main(["analyze", str(out), "--config", str(config)]) == 3
     assert "k2.csv" in capsys.readouterr().err
+    # a non-finite count is as corrupt as a malformed row
+    assert main(["simulate", "--config", str(config)]) == 0
+    lines = (out / "k4.csv").read_text().splitlines()
+    lines[1] = lines[1].split(",")[0] + ",inf"
+    (out / "k4.csv").write_text("\n".join(lines) + "\n")
+    assert main(["analyze", str(out), "--config", str(config)]) == 3
+    assert "k4.csv" in capsys.readouterr().err
 
 
 def test_exact_pipeline_closes_at_unit_fidelity(tmp_path, capsys):

@@ -1,8 +1,11 @@
 """Config schema: defaults, validation, and file round-trips."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonfusion.config import (
     ConfigError,
@@ -106,6 +109,11 @@ def test_all_problems_collected_in_one_error():
         ("detection", "repetition_rate_hz", -76.0e6),
         ("run", "seed", -1),
         ("run", "seed", 1.5),
+        ("sources", "pair_probability", math.nan),
+        ("detection", "repetition_rate_hz", math.inf),
+        pytest.param("detection", "repetition_rate_hz", 10**400, id="rate-past-float-range"),
+        # refused without building a witness plan of 2e12 settings
+        pytest.param("sources", "count", 10**12, id="count-past-k-labels"),
     ],
 )
 def test_bad_scalar_rejected(section, key, value):
@@ -152,12 +160,26 @@ def test_wiring_must_be_pair_list():
     data["topology"] = {"shape": "custom", "sources": 7, "fusion_edges": []}
     with pytest.raises(ConfigError, match="topology.sources"):
         config_from_dict(data)
+    # arms are numbers: a nested list or a name is refused, not raised on
+    data["sources"]["count"] = 2
+    for key, sources, edges in [
+        ("sources", [[1, [2]], [4, 3]], [[1, 4]]),
+        ("fusion_edges", [[1, 2], [4, 3]], [[1, [4]]]),
+        ("sources", [["a", "b"], [4, 3]], [["b", 4]]),
+    ]:
+        data["topology"] = {"shape": "custom", "sources": sources, "fusion_edges": edges}
+        with pytest.raises(ConfigError, match=f"topology.{key} must be a list of arm pairs"):
+            config_from_dict(data)
 
 
 def test_unknown_setting_label_rejected():
     data = config_to_dict(default_config())
     data["run"]["settings"] = ["HV", "k9"]
     with pytest.raises(ConfigError, match="k9"):
+        config_from_dict(data)
+    # an unhashable entry is refused like any other
+    data["run"]["settings"] = [["HV"], "k0"]
+    with pytest.raises(ConfigError, match=r"entry \['HV'\] not one of"):
         config_from_dict(data)
 
 
@@ -215,10 +237,11 @@ def test_plan_without_the_witness_plan_rejected(count, settings, lacking):
 
 
 def test_nonpositive_duration_rejected():
-    data = config_to_dict(default_config())
-    data["run"]["duration_hours"]["k1"] = 0.0
-    with pytest.raises(ConfigError, match="k1"):
-        config_from_dict(data)
+    for hours in (0.0, math.nan, math.inf, 10**400):
+        data = config_to_dict(default_config())
+        data["run"]["duration_hours"]["k1"] = hours
+        with pytest.raises(ConfigError, match=r"duration_hours\['k1'\] must be a positive"):
+            config_from_dict(data)
 
 
 def test_output_formats_validated():
@@ -229,6 +252,43 @@ def test_output_formats_validated():
     data["output"]["formats"] = []
     with pytest.raises(ConfigError, match="formats"):
         config_from_dict(data)
+    data["output"]["formats"] = [["csv"]]
+    with pytest.raises(ConfigError, match=r"output.formats entry \['csv'\]"):
+        config_from_dict(data)
+
+
+_SECTIONS = config_to_dict(default_config())
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=3)
+    | st.sampled_from(["HV", "k0", "csv", "custom"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_PLACES = st.sampled_from(
+    [(section,) for section in _SECTIONS]
+    + [(section, key) for section, keys in _SECTIONS.items() for key in keys]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(place=_PLACES, value=_JSON)
+def test_any_json_entry_validates_or_is_refused(place, value):
+    """Whatever JSON value sits at a section or key, loading either gives a
+    config or raises ConfigError, and never raises anything else."""
+    data = config_to_dict(default_config())
+    if len(place) == 1:
+        data[place[0]] = value
+    else:
+        data[place[0]][place[1]] = value
+    try:
+        config_from_dict(data)
+    except ConfigError:
+        pass
 
 
 # ---- Files ----

@@ -154,6 +154,11 @@ def test_histogram_validation():
         )
     with pytest.raises(ValueError, match="duration"):
         CoincidenceHistogram(hv_setting(), {pat: 1}, 0.0, 0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="count"):
+            CoincidenceHistogram(hv_setting(), {pat: bad}, 1.0, 0)
+        with pytest.raises(ValueError, match="duration"):
+            CoincidenceHistogram(hv_setting(), {pat: 1}, bad, 0)
 
 
 # ---- Apparatus assembly ----
@@ -503,6 +508,29 @@ def test_hv_correlations_survive_zero_overlap():
     assert abs(signed_parity(outcome_distribution(app, k_setting(0, 4)))) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "topology,truncation", [(star_topology(), 7), (chain_topology(3), 5)], ids=["star", "chain3"]
+)
+def test_hv_distribution_independent_of_overlaps_at_multipair_orders(topology, truncation):
+    # HV detection is diagonal in occupation and the fusion map permutes
+    # modes, so neither the branch mixture nor the synthesizer dephasing
+    # reaches the computational basis, at any emission order
+    app = assemble_apparatus(
+        topology, pair_probability=0.058, synthesizer_overlap=1.0, fusion_overlap=1.0,
+        detector_efficiency=0.265, truncation_pairs=truncation,
+    )
+    reference = absolute_outcome_distribution(app, hv_setting())
+    for gamma_s, gamma_f in ((0.94, 0.76), (0.0, 0.0)):
+        other = dataclasses.replace(
+            app, synthesizer_overlap=gamma_s, fusion_overlap=gamma_f
+        )
+        got = absolute_outcome_distribution(other, hv_setting())
+        assert got.keys() == reference.keys()
+        for pattern, expected in reference.items():
+            assert (got[pattern] == 0) == (expected == 0)
+            assert abs(got[pattern] - expected) <= 1e-12 * expected
+
+
 # ---- Invariances ----
 
 
@@ -795,6 +823,11 @@ def test_histogram_from_lines_errors():
         histogram_from_lines(["HV,1.0,3"])
     with pytest.raises(ValueError, match="duplicate pattern row 'HH'"):
         histogram_from_lines(["HV,1.0,1", "HH,1", "HH,2", "HV,0", "VV,3"])
+    for bad in ("inf", "nan"):
+        with pytest.raises(ValueError, match="count"):
+            histogram_from_lines(["HV,1.0,1", f"HH,{bad}"])
+        with pytest.raises(ValueError, match="duration"):
+            histogram_from_lines([f"HV,{bad},1", "HH,1"])
 
 
 # ---- Per-pattern accepted probability ----
