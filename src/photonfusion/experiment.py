@@ -1,9 +1,10 @@
 """Whole-apparatus simulation: sources into fusions into detectors.
 
-Builds the multi-source interferometer over tagged modes, moves a
-classical ensemble of amplitude states through the fusion splitters,
-analyzers and detectors, and turns the result into exact outcome
-probabilities or Poisson-sampled coincidence histograms.
+Builds the multi-source interferometer over tagged modes, moves each
+source's classical ensemble, read in closed form off its pair counts,
+through the fusion splitters, analyzers and detectors, and turns the
+result into exact outcome probabilities or Poisson-sampled coincidence
+histograms.
 
 The optics are described once, as linear elements, and compiled from
 those elements on first use rather than applied to every member state.
@@ -52,13 +53,7 @@ from .fock import (
     ModeRegistry,
     registry_from,
 )
-from .sources import (
-    TAG_BROAD,
-    TAG_NARROW,
-    PdcSource,
-    source_ensemble,
-    source_mode_labels,
-)
+from .sources import PdcSource, source_ensemble, source_mode_labels
 from .topology import (
     FusionTopology,
     admitted_patterns,
@@ -242,13 +237,14 @@ class Apparatus:
     """The interferometer and its detection, as exactly its seven inputs.
 
     Everything else is derived from the inputs on first use and memoized
-    (functools.cached_property): the sources, the tagged source modes
-    (registry, 8 per source), the fusion and compensation optics over
-    plain arm/polarization modes (interfering branch) and over
-    source-marked modes (distinguishable branch), the fusion branches
-    and the computed distributions per setting. Equality and hashing see
-    the inputs alone, and dataclasses.replace re-checks its inputs and
-    derives everything afresh, so it is the way to sweep a parameter.
+    (functools.cached_property): the sources, the tagged modes a photon
+    leaves a synthesizer in (registry, 4 per source), the fusion and
+    compensation optics over plain arm/polarization modes (interfering
+    branch) and over source-marked modes (distinguishable branch), the
+    fusion branches and the computed distributions per setting. Equality
+    and hashing see the inputs alone, and dataclasses.replace re-checks its
+    inputs and derives everything afresh, so it is the way to sweep a
+    parameter.
     """
 
     topology: FusionTopology
@@ -278,7 +274,6 @@ class Apparatus:
                 arm_b=arm_b,
                 pair_amplitude=math.sqrt(self.pair_probability),
                 spectral_overlap=self.synthesizer_overlap,
-                truncation_pairs=self.truncation_pairs,
             )
             for arm_a, arm_b in self.topology.sources
         )
@@ -294,10 +289,6 @@ class Apparatus:
     @property
     def n_arms(self) -> int:
         return len(self.output_arms)
-
-    @property
-    def n_detectors(self) -> int:
-        return 2 * self.n_arms
 
     @property
     def compensator_phase(self) -> float:
@@ -426,33 +417,26 @@ def build_apparatus(config: ExperimentConfig) -> Apparatus:
 
 
 def _compile_fusion(apparatus: Apparatus, registry, optics, marked: bool) -> tuple:
-    """Per source, its fusion image: per tagged source mode, in
+    """Per source, its fusion image: per output mode of its synthesizer, in
     source_mode_labels order, (index in the branch registry after the
-    fusion optics, phase), or None for a mode that is never occupied.
+    fusion optics, phase).
 
-    A source's narrowband photons leave on arm_a and its broadband ones on
-    arm_b, so the other tag of each arm is never occupied. An occupied mode
-    enters the interfering branch untagged and the distinguishable branch
-    with the mark of its arm's source.
+    A mode enters the interfering branch untagged and the distinguishable
+    branch with the mark of its source.
 
     Polarizing splitters and phase plates send each a+_j to phi_j a+_pi(j)
     with pi a bijection, so a term moves by permuting its occupation and
     multiplying its amplitude by prod_j phi_j^n_j. pi and phi are read off
-    by pushing the one-photon state of each occupied branch mode through
-    the branch's elements; optics that split or scale a photon raise
-    ValueError. A photon meets only the elements acting on a mode it
-    occupies, since apply_element passes every other term through as it
-    is.
+    by pushing the one-photon state of each mode through the branch's
+    elements; optics that split or scale a photon raise ValueError. A
+    photon meets only the elements acting on a mode it occupies, since
+    apply_element passes every other term through as it is.
     """
     images = []
     for i, source in enumerate(apparatus.sources):
-        own = {source.arm_a: TAG_NARROW, source.arm_b: TAG_BROAD}
         mark = f"m{i + 1}" if marked else ""
         image = []
         for lab in source_mode_labels(source):
-            if lab.tag != own[lab.arm]:
-                image.append(None)
-                continue
             label = ModeLabel(lab.arm, lab.pol, mark)
             j = registry.index(label)
             occ = [0] * len(registry)
@@ -584,7 +568,7 @@ class _Branch:
 
 
 class _Moved:
-    """One ensemble state's terms after one branch's fusion optics, as
+    """One ensemble member's terms after one branch's fusion optics, as
     (((branch mode, count), ...), amplitude, arm mask): the mask has bit a
     set when a photon of the term leaves on output arm a. reach is the
     union of the masks, and covering(need) the terms whose mask holds
@@ -592,21 +576,23 @@ class _Moved:
 
     __slots__ = ("terms", "reach", "_covering")
 
-    def __init__(self, state: AmplitudeState, image: tuple, width: int):
-        """image is the fusion image of state's source, width the branch's
-        modes per arm."""
+    def __init__(self, n: int, hs: tuple, amp: complex, image: tuple, width: int):
+        """The member's terms are its source's n-pair terms with h HH pairs
+        for each h in hs, counts (h, n - h, h, n - h) on the source's four
+        output modes, each of amplitude amp. image is the source's fusion
+        image, width the branch's modes per arm."""
         self.terms = []
         self.reach = 0
-        for occ, amp in state.terms.items():
+        for h in hs:
             moves = []
             mask = 0
-            for j, n in enumerate(occ):
-                if n:
-                    dest, phase = image[j]
-                    moves.append((dest, n))
+            term = amp
+            for (dest, phase), count in zip(image, (h, n - h, h, n - h)):
+                if count:
+                    moves.append((dest, count))
                     mask |= 1 << dest // width
-                    amp *= phase**n
-            self.terms.append((tuple(moves), amp, mask))
+                    term *= phase**count
+            self.terms.append((tuple(moves), term, mask))
             self.reach |= mask
         self._covering = {0: self.terms}
 
@@ -647,12 +633,13 @@ def _members(apparatus: Apparatus, patterns):
     pieces: dict = {}
     for counts in patterns:
         per_source = []
-        for i, n in enumerate(counts):
+        for i, (source, n) in enumerate(zip(apparatus.sources, counts)):
             piece = pieces.get((i, n))
             if piece is None:
+                amp = complex(source.process_amplitude**n)
                 piece = pieces[(i, n)] = [
-                    (w, [_Moved(st, b.images[i], b.width) for b in branches])
-                    for w, st in source_ensemble(apparatus.sources[i], n)
+                    (w, [_Moved(n, hs, amp, b.images[i], b.width) for b in branches])
+                    for w, hs in source_ensemble(source, n)
                 ]
             per_source.append(piece)
         for combo in itertools.product(*per_source):

@@ -1,17 +1,20 @@
 """Independent reference constructions the test suite checks the library against.
 
-None of this is on the simulation path. The simulator builds each
-source's post-synthesizer state directly (``sources.emission_sector``)
-and applies only the analyzer, splitter and phase matrices; the routes
-here rebuild the same physics another way so the two can be compared:
+None of this is on the simulation path. The simulator reads each
+source's post-synthesizer ensemble in closed form, as HH/VV pair counts
+over the source's four output modes (``sources.source_ensemble``), and
+applies only the analyzer, splitter and phase matrices; the routes here
+rebuild the same physics another way so the two can be compared:
 
 - raw creation operators on the vacuum, for the Fock inputs of element
   tests and the operator-expansion check of ``pdc_emit``;
 - tensor products and mode relabeling, which join the sources' states
   into one state over a branch's modes the generic way;
-- the element-by-element synthesizer: ``pdc_emit`` pushed through the
-  synthesizer optics must equal ``synthesized_pair_state``, whose
-  sectors must equal ``emission_sector``;
+- the element-by-element synthesizer over a source's eight
+  pre-synthesizer modes: ``pdc_emit`` pushed through the synthesizer
+  optics must equal ``synthesized_pair_state``, whose 2n-photon sector
+  is the coherent n-pair member and whose single terms are the split
+  members (``ensemble_states``);
 - wave-plate matrices and the plate recipe behind ``analyzer_matrix``,
   and a balanced splitter for the two-photon dip;
 - the element-by-element detection engine: every member state pushed
@@ -39,15 +42,9 @@ from photonfusion.fock import (
     ModeLabel,
     ModeRegistry,
     _pruned,
+    registry_from,
 )
-from photonfusion.sources import (
-    TAG_BROAD,
-    TAG_NARROW,
-    TAGS,
-    PdcSource,
-    source_ensemble,
-    source_registry,
-)
+from photonfusion.sources import TAG_BROAD, TAG_NARROW, PdcSource
 from photonfusion.topology import admitted_patterns
 
 
@@ -194,6 +191,22 @@ def waveplate_angles(theta: float) -> tuple:
 
 # ---- Emission and the element-by-element synthesizer ----
 
+# A source emits both wavepackets into both arms; the synthesizer sorts
+# them, narrowband to arm_a and broadband to arm_b.
+TAGS = (TAG_NARROW, TAG_BROAD)
+
+
+def source_registry(source: PdcSource) -> ModeRegistry:
+    """A source's eight modes before the synthesizer: arm_a then arm_b, H
+    before V, narrowband before broadband."""
+    return registry_from(
+        ModeLabel(arm, pol, tag)
+        for arm in (source.arm_a, source.arm_b)
+        for pol in ("H", "V")
+        for tag in TAGS
+    )
+
+
 # The two pair processes. The first sends the narrowband H photon to
 # arm_a and the broadband V photon to arm_b; the second swaps the arms.
 def _process_modes(source: PdcSource):
@@ -202,8 +215,33 @@ def _process_modes(source: PdcSource):
     return t_pair, r_pair
 
 
-def pdc_emit(source: PdcSource, registry: ModeRegistry | None = None) -> AmplitudeState:
-    """Multi-pair emission state before the synthesizer, unnormalized.
+def _pair_exponential(source, first, second, truncation, registry) -> AmplitudeState:
+    """The truncated exponential over two pair-creation operators, kept
+    unnormalized: a term with i pairs of modes first and j of modes second
+    has amplitude lam^(i+j), at most truncation pairs in all."""
+    reg = registry if registry is not None else source_registry(source)
+    idx = {lab: reg.index(lab) for lab in first + second}
+    lam = source.process_amplitude
+    width = len(reg)
+    terms: dict = {}
+    for i in range(truncation + 1):
+        for j in range(truncation + 1 - i):
+            occ = [0] * width
+            occ[idx[first[0]]] += i
+            occ[idx[first[1]]] += i
+            occ[idx[second[0]]] += j
+            occ[idx[second[1]]] += j
+            amp = lam ** (i + j)
+            if abs(amp) > 0:
+                terms[tuple(occ)] = terms.get(tuple(occ), 0j) + amp
+    return AmplitudeState(reg, terms, 2 * truncation)
+
+
+def pdc_emit(
+    source: PdcSource, truncation: int, registry: ModeRegistry | None = None
+) -> AmplitudeState:
+    """Multi-pair emission state before the synthesizer, unnormalized, up
+    to truncation pairs.
 
     Terms are indexed by how many pairs each process contributed. A term
     with t pairs from one process and r from the other carries amplitude
@@ -211,23 +249,7 @@ def pdc_emit(source: PdcSource, registry: ModeRegistry | None = None) -> Amplitu
     count and the bosonic sqrt(n!) factors. The operator-expansion route
     in the test suite rebuilds this with raw creation operators.
     """
-    reg = registry if registry is not None else source_registry(source)
-    t_pair, r_pair = _process_modes(source)
-    idx = {lab: reg.index(lab) for lab in t_pair + r_pair}
-    lam = source.process_amplitude
-    width = len(reg)
-    terms: dict = {}
-    for t in range(source.truncation_pairs + 1):
-        for r in range(source.truncation_pairs + 1 - t):
-            occ = [0] * width
-            occ[idx[t_pair[0]]] += t
-            occ[idx[t_pair[1]]] += t
-            occ[idx[r_pair[0]]] += r
-            occ[idx[r_pair[1]]] += r
-            amp = lam ** (t + r)
-            if abs(amp) > 0:
-                terms[tuple(occ)] = terms.get(tuple(occ), 0j) + amp
-    return AmplitudeState(reg, terms, 2 * source.truncation_pairs)
+    return _pair_exponential(source, *_process_modes(source), truncation, registry)
 
 
 def synthesizer_elements(source: PdcSource, registry: ModeRegistry) -> list:
@@ -274,10 +296,15 @@ def synthesizer_elements(source: PdcSource, registry: ModeRegistry) -> list:
     return els
 
 
+def _pair_modes(source: PdcSource, pol: str) -> tuple:
+    """The two modes of a pol-pol pair: narrowband on arm_a, broadband on arm_b."""
+    return ModeLabel(source.arm_a, pol, TAG_NARROW), ModeLabel(source.arm_b, pol, TAG_BROAD)
+
+
 def synthesized_pair_state(
-    source: PdcSource, registry: ModeRegistry | None = None
+    source: PdcSource, truncation: int, registry: ModeRegistry | None = None
 ) -> AmplitudeState:
-    """Post-synthesizer state, constructed directly.
+    """Post-synthesizer state up to truncation pairs, constructed directly.
 
     The synthesizer maps the two emission processes onto HH-pair and
     VV-pair creation with unit coefficients, so the output is the
@@ -286,37 +313,65 @@ def synthesized_pair_state(
     broadband on arm_b. Must agree with pushing pdc_emit through
     synthesizer_elements; the test suite holds the two routes together.
     """
-    reg = registry if registry is not None else source_registry(source)
-    hh = (ModeLabel(source.arm_a, "H", TAG_NARROW), ModeLabel(source.arm_b, "H", TAG_BROAD))
-    vv = (ModeLabel(source.arm_a, "V", TAG_NARROW), ModeLabel(source.arm_b, "V", TAG_BROAD))
-    idx = {lab: reg.index(lab) for lab in hh + vv}
-    lam = source.process_amplitude
-    width = len(reg)
-    terms: dict = {}
-    for h in range(source.truncation_pairs + 1):
-        for v in range(source.truncation_pairs + 1 - h):
-            occ = [0] * width
-            occ[idx[hh[0]]] += h
-            occ[idx[hh[1]]] += h
-            occ[idx[vv[0]]] += v
-            occ[idx[vv[1]]] += v
-            amp = lam ** (h + v)
-            if abs(amp) > 0:
-                terms[tuple(occ)] = terms.get(tuple(occ), 0j) + amp
-    return AmplitudeState(reg, terms, 2 * source.truncation_pairs)
+    hh, vv = _pair_modes(source, "H"), _pair_modes(source, "V")
+    return _pair_exponential(source, hh, vv, truncation, registry)
 
 
-def ideal_pair_state(source: PdcSource, registry: ModeRegistry | None = None) -> AmplitudeState:
-    """(|HH> + |VV>)/sqrt2 across the arms, narrowband photon on arm_a."""
+def ideal_pair_state(
+    source: PdcSource, truncation: int, registry: ModeRegistry | None = None
+) -> AmplitudeState:
+    """(|HH> + |VV>)/sqrt2 across the arms, narrowband photon on arm_a, in
+    a state of truncation order 2 * truncation."""
     reg = registry if registry is not None else source_registry(source)
     c = 1 / math.sqrt(2)
     terms = {}
     for pol in ("H", "V"):
         occ = [0] * len(reg)
-        occ[reg.index(ModeLabel(source.arm_a, pol, TAG_NARROW))] = 1
-        occ[reg.index(ModeLabel(source.arm_b, pol, TAG_BROAD))] = 1
+        for lab in _pair_modes(source, pol):
+            occ[reg.index(lab)] = 1
         terms[tuple(occ)] = c + 0j
-    return AmplitudeState(reg, terms, 2 * source.truncation_pairs)
+    return AmplitudeState(reg, terms, 2 * truncation)
+
+
+def emission_sector(
+    source: PdcSource, n_pairs: int, registry: ModeRegistry | None = None
+) -> AmplitudeState:
+    """Coherent n-pair sector of the synthesizer output: the 2n-photon
+    terms of synthesized_pair_state, in its order (HH pairs ascending)."""
+    state = synthesized_pair_state(source, n_pairs, registry)
+    terms = {occ: a for occ, a in state.terms.items() if sum(occ) == 2 * n_pairs}
+    return AmplitudeState(state.registry, terms, state.truncation_order)
+
+
+def pair_type_sector(
+    source: PdcSource, hh_pairs: int, vv_pairs: int, registry: ModeRegistry | None = None
+) -> AmplitudeState:
+    """The one term of emission_sector with hh_pairs HH pairs and vv_pairs
+    VV pairs."""
+    sector = emission_sector(source, hh_pairs + vv_pairs, registry)
+    i = sector.registry.index(_pair_modes(source, "H")[0])
+    terms = {occ: a for occ, a in sector.terms.items() if occ[i] == hh_pairs}
+    return AmplitudeState(sector.registry, terms, sector.truncation_order)
+
+
+def ensemble_states(
+    source: PdcSource, n_pairs: int, registry: ModeRegistry | None = None
+) -> list:
+    """Reference members of one source emitting exactly n_pairs, as
+    [(weight, state)]: the coherent sector with weight equal to the process
+    overlap, then each of its terms alone, a definite (hh, vv) split, with
+    weight (1 - overlap)."""
+    sector = emission_sector(source, n_pairs, registry)
+    gamma = source.spectral_overlap
+    members = []
+    if gamma > 0.0:
+        members.append((gamma, sector))
+    if gamma < 1.0:
+        members.extend(
+            (1.0 - gamma, AmplitudeState(sector.registry, {occ: a}, sector.truncation_order))
+            for occ, a in sector.terms.items()
+        )
+    return members
 
 
 # ---- The element-by-element detection engine ----
@@ -351,7 +406,7 @@ def members_for_pattern(apparatus, counts):
     gamma_f = apparatus.fusion_overlap
     cap = 2 * apparatus.truncation_pairs
     per_source = [
-        source_ensemble(source, n) for source, n in zip(apparatus.sources, counts)
+        ensemble_states(source, n) for source, n in zip(apparatus.sources, counts)
     ]
     for combo in itertools.product(*per_source):
         weight = 1.0

@@ -14,6 +14,7 @@ from oracles import (
     arm_groups,
     beamsplitter_matrix,
     coincidence_support,
+    emission_sector,
     map_modes,
     members_for_pattern,
     tensor_product,
@@ -47,7 +48,7 @@ from photonfusion.experiment import (
 )
 from photonfusion.elements import apply_element, element_on
 from photonfusion.fock import ModeLabel, registry_from
-from photonfusion.sources import TAG_BROAD, TAG_NARROW, PdcSource, emission_sector
+from photonfusion.sources import TAG_BROAD, TAG_NARROW, PdcSource
 from photonfusion.topology import (
     FusionTopology,
     admitted_patterns,
@@ -167,9 +168,9 @@ def test_histogram_validation():
 def test_star_apparatus_layout(ideal_star):
     app = ideal_star
     assert app.output_arms == (1, 2, 3, 4, 5, 6, 7, 8)
-    assert app.n_arms == 8 and app.n_detectors == 16
+    assert app.n_arms == 8
     assert len(app.sources) == 4
-    assert len(app.registry) == 32
+    assert len(app.registry) == 16
     assert len(app.plain_registry) == 16
     assert len(app.marked_registry) == 64
     # one splitter per fusion edge in the interfering branch, one per
@@ -208,7 +209,7 @@ def probe_compensator_phase(apparatus):
     """
     probe = None
     for arm_a, arm_b in apparatus.topology.sources:
-        src = PdcSource(arm_a=arm_a, arm_b=arm_b, pair_amplitude=0.2, truncation_pairs=1)
+        src = PdcSource(arm_a=arm_a, arm_b=arm_b, pair_amplitude=0.2)
         piece = emission_sector(src, 1)
         own = {arm_a: TAG_NARROW, arm_b: TAG_BROAD}
         local = registry_from(

@@ -6,10 +6,10 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import map_modes, tensor_product
+from oracles import emission_sector, map_modes, tensor_product
 from photonfusion.elements import apply_element, element_on, pbs_matrix
 from photonfusion.fock import ModeLabel, registry_from
-from photonfusion.sources import TAG_BROAD, TAG_NARROW, PdcSource, emission_sector
+from photonfusion.sources import TAG_BROAD, TAG_NARROW, PdcSource
 from photonfusion.topology import (
     EmissionPattern,
     FusionTopology,
@@ -103,9 +103,7 @@ def fused_pattern_support(topology, counts) -> bool:
     total = sum(counts)
     state = None
     for (arm_a, arm_b), n in zip(topology.sources, counts):
-        src = PdcSource(
-            arm_a=arm_a, arm_b=arm_b, pair_amplitude=0.4, truncation_pairs=max(n, 1)
-        )
+        src = PdcSource(arm_a=arm_a, arm_b=arm_b, pair_amplitude=0.4)
         piece = emission_sector(src, n)
         state = piece if state is None else tensor_product(state, piece, 2 * total)
     plain = registry_from(
