@@ -12,8 +12,10 @@ conserved, and unitarity is enforced at construction time.
 
 The simulator does not push whole states through elements. The
 experiment module compiles its optics from them: it applies the fusion
-elements to one-photon states and each analyzer to one-arm states, and
-moves every ensemble member with the maps read off those.
+elements and each analyzer to one-photon states, builds a slot's
+n-photon analyzer amplitudes from the analyzer's one-photon ones in
+closed form, and moves every ensemble member with the maps read off
+those.
 """
 
 from __future__ import annotations

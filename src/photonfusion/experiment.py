@@ -475,10 +475,11 @@ class _Branch:
     modes, one per tag, is a slot. Memos fill as settings are computed,
     since none depends on the setting: firing probabilities per joint plus
     count, which depend on the detector efficiency alone; a slot's
-    analyzer amplitudes per (angle, photon number); and an arm's row per
-    (angle, photon numbers of its occupied slots). All are shared by every
-    setting, arm and slot at that angle, since every analyzer of a branch
-    applies one matrix to one slot.
+    one-photon analyzer amplitudes per angle and its n-photon ones per
+    (angle, photon number); and an arm's row per (angle, photon numbers of
+    its occupied slots). All are shared by every setting, arm and slot at
+    that angle, since every analyzer of a branch applies one matrix to one
+    slot.
     """
 
     def __init__(self, apparatus: Apparatus, marked: bool, weight: float):
@@ -488,6 +489,7 @@ class _Branch:
         else:
             registry = apparatus.plain_registry
             optics = apparatus.fusion_elements + apparatus.compensator_elements
+        self.marked = marked
         self.weight = weight
         self.registry = registry
         self.images = _compile_fusion(apparatus, registry, optics, marked)
@@ -496,6 +498,7 @@ class _Branch:
         self.width = 2 * len(self.tags)
         self.miss = 1.0 - apparatus.detector_efficiency
         self._weights: dict = {}
+        self._one_photon: dict = {}
         self._analyzers: dict = {}
         self._rows: dict = {}
 
@@ -519,20 +522,31 @@ class _Branch:
 
     def analyzer(self, theta: float, n: int) -> np.ndarray:
         """<p +, (n-p) -| analyzer |h H, (n-h) V> of a slot holding n
-        photons, as a matrix [p, h], read off the branch's own analyzer
-        element (first arm, first tag: modes 0 and 1) with apply_element;
-        an amplitude apply_element drops is an exact zero."""
+        photons, as a matrix [p, h]: the symmetric power of the slot's
+        one-photon analyzer amplitudes (_symmetric_power)."""
         u = self._analyzers.get((theta, n))
         if u is None:
-            element = _analyzer_element(self.registry, self.arms[0], self.tags[0], theta)
-            u = self._analyzers[(theta, n)] = np.zeros((n + 1, n + 1), dtype=complex)
-            for h in range(n + 1):
-                occ = [0] * len(self.registry)
-                occ[0], occ[1] = h, n - h
-                state = AmplitudeState(self.registry, {tuple(occ): 1.0 + 0j}, n)
-                for out, a in apply_element(state, element).terms.items():
-                    u[out[0], h] = a
+            u = self._analyzers[(theta, n)] = _symmetric_power(self.one_photon(theta), n)
         return u
+
+    def one_photon(self, theta: float) -> tuple:
+        """((<+|H>, <+|V>), (<-|H>, <-|V>)): the branch's own analyzer
+        element (first arm, first tag: modes 0 and 1) applied to one H and
+        one V photon with apply_element."""
+        hit = self._one_photon.get(theta)
+        if hit is None:
+            element = _analyzer_element(self.registry, self.arms[0], self.tags[0], theta)
+            # one photon in mode 0 (H in, + out) or in mode 1 (V in, - out)
+            rest = (0,) * (len(self.registry) - 2)
+            first, second = (1, 0) + rest, (0, 1) + rest
+            columns = []
+            for photon in (first, second):
+                state = AmplitudeState(self.registry, {photon: 1.0 + 0j}, 1)
+                terms = apply_element(state, element).terms
+                columns.append([complex(terms.get(out, 0j)) for out in (first, second)])
+            (plus_h, minus_h), (plus_v, minus_v) = columns
+            hit = self._one_photon[theta] = ((plus_h, plus_v), (minus_h, minus_v))
+        return hit
 
     def row(self, theta, slots: tuple) -> tuple:
         """(first, second) firing probabilities of one arm for a unit
@@ -604,19 +618,21 @@ class _Moved:
 
 
 def _members(apparatus: Apparatus, patterns):
-    """Yield (weight, supported, branch) members of each emission pattern
-    after fusion and compensation: supported lists (occupation, amplitude)
-    of the member's terms with a photon in every arm, the only ones that
-    can fire every arm. The occupation of the branch registry is packed
-    into bytes, arm by arm, and a plan keeps it per key. A member without
-    such a term is not yielded.
+    """Yield (weight, supported, branch, k) members of each emission
+    pattern after fusion and compensation: supported lists (occupation,
+    amplitude) of the member's terms with a photon in every arm, the only
+    ones that can fire every arm. The occupation of the branch registry is
+    packed into bytes, arm by arm, and a plan keeps it per key. A member
+    without such a term is not yielded.
 
     The weight of a member is the product of its per-source ensemble
     weights and the branch weight; states are unnormalized, so a member's
     accepted probability is weight times the detection value of its
-    amplitudes. A joint amplitude at or below fock.PRUNE_EPS is dropped,
-    as the reference construction's tensor product of the sources' states
-    drops it.
+    amplitudes. k counts the sources whose member is the coherent one, so
+    the weight is gamma_s^k (1 - gamma_s)^(S - k) times the branch weight
+    over S sources: (branch, k) is the member's overlap component. A joint
+    amplitude at or below fock.PRUNE_EPS is dropped, as the reference
+    construction's tensor product of the sources' states drops it.
 
     Each source's ensemble is moved through each branch's compiled fusion
     image once per pair count, and every moved term carries the arms its
@@ -637,19 +653,27 @@ def _members(apparatus: Apparatus, patterns):
             piece = pieces.get((i, n))
             if piece is None:
                 amp = complex(source.process_amplitude**n)
+                coherent = source.spectral_overlap > 0.0
+                # source_ensemble lists the coherent member first
                 piece = pieces[(i, n)] = [
-                    (w, [_Moved(n, hs, amp, b.images[i], b.width) for b in branches])
-                    for w, hs in source_ensemble(source, n)
+                    (
+                        w,
+                        coherent and j == 0,
+                        [_Moved(n, hs, amp, b.images[i], b.width) for b in branches],
+                    )
+                    for j, (w, hs) in enumerate(source_ensemble(source, n))
                 ]
             per_source.append(piece)
         for combo in itertools.product(*per_source):
             weight = 1.0
-            for w, _ in combo:
+            k = 0
+            for w, coherent, _ in combo:
                 weight *= w
+                k += coherent
             for b, branch in enumerate(branches):
-                supported = _joint_terms(branch, [moved[b] for _, moved in combo])
+                supported = _joint_terms(branch, [moved[b] for _, _, moved in combo])
                 if supported:
-                    yield weight * branch.weight, supported, branch
+                    yield weight * branch.weight, supported, branch, k
 
 
 def _joint_terms(branch: _Branch, parts: list) -> list:
@@ -684,6 +708,54 @@ def _joint_terms(branch: _Branch, parts: list) -> list:
 def _analyzer_element(registry, arm, tag, theta: float):
     labels = [ModeLabel(arm, "H", tag), ModeLabel(arm, "V", tag)]
     return element_on(registry, labels, analyzer_matrix(theta), f"analyzer-{arm}")
+
+
+def _symmetric_power(one: tuple, n: int) -> np.ndarray:
+    """<p +, (n-p) -| U |h H, (n-h) V> as a matrix [p, h], from the
+    one-photon amplitudes one = ((<+|H>, <+|V>), (<-|H>, <-|V>)) of U.
+
+    The h H photons and the n - h V photons each split binomially between
+    the outputs, so column h is the product of the two splits times the
+    bosonic factor sqrt(p! (n-p)! / (h! (n-h)!)). The sum is evaluated
+    factor for factor as apply_element evaluates it, on Python complex
+    scalars, so the matrix equals the Fock engine's to the last bit; in
+    particular the rounding left at the analyzer's exact interference zeros
+    is the same, and an amplitude at or below fock.PRUNE_EPS is zeroed as
+    apply_element drops it. (numpy's vectorized complex product may fuse
+    its multiply and add, which moves the last bit.)
+    """
+    (plus_h, plus_v), (minus_h, minus_v) = one
+    fact = [math.factorial(i) for i in range(n + 1)]
+    u = np.zeros((n + 1, n + 1), dtype=complex)
+    for h in range(n + 1):
+        pref = (1.0 + 0j) / math.sqrt(fact[h] * fact[n - h])
+        column = [pref * c for c in _split(plus_h, minus_h, h, fact)] if h else [pref]
+        if n - h:
+            second = _split(plus_v, minus_v, n - h, fact)
+            first, column = column, [0j] * (n + 1)
+            for p_h, a in enumerate(first):
+                for p_v, c in enumerate(second):
+                    column[p_h + p_v] += a * c
+        for p, a in enumerate(column):
+            a *= math.sqrt(fact[p] * fact[n - p])
+            if abs(a) > PRUNE_EPS:
+                u[p, h] = a
+    return u
+
+
+def _split(plus: complex, minus: complex, m: int, fact: list) -> list:
+    """Amplitudes of m photons of one input mode leaving p of them at +,
+    p = 0..m: m!/(p! (m-p)!) plus^p minus^(m-p), before the bosonic
+    factors."""
+    out = []
+    for p in range(m + 1):
+        amp = complex(fact[m])
+        if p:
+            amp = amp * plus**p * (1.0 / fact[p])
+        if m - p:
+            amp = amp * minus ** (m - p) * (1.0 / fact[m - p])
+        out.append(amp)
+    return out
 
 
 def _analyzer_elements(registry, output_arms, setting: MeasurementSetting):
@@ -723,13 +795,25 @@ class _PatternSum:
     a multi-term class is kept whole. Neither key set depends on which
     settings the plan holds, so neither does any setting's vector.
 
+    The rotated side keeps one sum per overlap component (branch, k) of
+    the members (_members): a key holds one summed weight per component,
+    and a multi-term class counts towards its member's component. Every
+    member of a component carries the same weight gamma_s^k (1 -
+    gamma_s)^(S - k) times the branch weight, so components() lets one
+    build be read at any overlaps (_overlap_distributions), and a rotated
+    setting's vector is the sum of its components. HV needs no
+    components: HV detection is diagonal in occupation and the fusion map
+    is a permutation, so both overlaps drop out of it, and its tally,
+    summed over all members, is the one HV vector at every overlap.
+
     vectors() reduces the whole plan at once. A key's firing profile under
     a setting is the product of its arms' rows (_Branch.row), gathered as
     one array over the settings. Where all of a key's analyzed amplitudes
     stay above fock.PRUNE_EPS, the key adds weight * |amplitude|^2 times
-    its profile; the profiles are expanded a block of keys at a time. A
-    multi-term class, and a key below that floor at some setting, is
-    contracted with the analyzers once (_contract), with the rotated
+    its profile; the profiles are expanded a block of keys at a time, and
+    on the rotated side contracted with the weights of every component at
+    once. A multi-term class, and a key below that floor at some setting,
+    is contracted with the analyzers once (_contract), with the rotated
     settings as a leading axis, and the key's contraction counts only at
     the settings where it is below the floor. At HV there is no analyzer:
     the H port is the first, and the floor is the amplitude itself, above
@@ -744,48 +828,69 @@ class _PatternSum:
         self.terms: dict = {}
         self.singles: dict = {}
         self.classes: list = []
+        self._stacks: dict = {}
 
-    def add(self, branch: _Branch, weight: float, supported) -> None:
+    def add(self, weight: float, supported, branch: _Branch, k: int) -> None:
         if self.hv:
             _tally(self.terms, branch, weight, supported)
         if not self.rotated:
             return
+        component = (branch, k)
+        singles = self.singles.get(component)
+        if singles is None:
+            singles = self.singles[component] = {}
         classes: dict = {}
         for term in supported:
             classes.setdefault(branch.photons(term[0]), []).append(term)
         for terms in classes.values():
             if len(terms) == 1:
-                _tally(self.singles, branch, weight, terms)
+                _tally(singles, branch, weight, terms)
             else:
-                self.classes.append((branch, weight, terms))
+                self.classes.append((component, weight, terms))
 
     def vectors(self) -> list:
         """One vector per setting, in order; HV settings share theirs."""
         if self.rotated:
-            rotated = iter(self._rotated())
+            _, components = self.components()
+            rotated = iter(components.sum(axis=1))
         if self.hv:
             keys, _, weights = _keyed(self.terms)
             rows = self._rows(keys, [(None,) * self.n_arms])
             hv = _expand(rows, weights[None], np.zeros((1, 2**self.n_arms)))[0]
         return [hv if s.angles is None else next(rotated) for s in self.settings]
 
-    def _rotated(self) -> np.ndarray:
-        keys, amps, weights = _keyed(self.singles)
+    def components(self) -> tuple:
+        """The overlap components (branch, k) of the members added, in
+        first-seen order, and the rotated settings' vectors per component:
+        shape (rotated settings, components, 2^n)."""
+        labels = list(dict.fromkeys([*self.singles, *(c for c, _, _ in self.classes)]))
+        column = {c: i for i, c in enumerate(labels)}
+        index: dict = {}
+        for tally in self.singles.values():
+            for key in tally:
+                index.setdefault(key, len(index))
+        keys = list(index)
+        # sums[component, key]: the summed weights
+        sums = np.zeros((len(labels), len(keys)))
+        for c, tally in self.singles.items():
+            sums[column[c], [index[key] for key in tally]] = list(tally.values())
+        amps = np.array([amp for _, _, amp in keys])
         rows = self._rows(keys, self.rotated)
         # the floor guard multiplies |amplitude| first, then arm by arm
         floor = amps
         for a in range(self.n_arms):
             floor = floor * rows[:, :, a, 2]
         passed = floor > PRUNE_EPS
-        vectors = np.zeros((len(self.rotated), 2**self.n_arms))
-        for branch, weight, terms in self.classes:
-            vectors += weight * self._contract(branch, terms)
+        vectors = np.zeros((len(self.rotated), len(labels), 2**self.n_arms))
+        for c, weight, terms in self.classes:
+            vectors[:, column[c]] += weight * self._contract(c[0], terms)
         for e in np.flatnonzero(~passed.all(axis=0)):
             branch, occ, amp = keys[e]
             below = ~passed[:, e]
-            vector = self.singles[keys[e]] * self._contract(branch, [(occ, amp)])
-            vectors[below] += vector[below]
-        return _expand(rows, np.where(passed, weights, 0.0), vectors)
+            vector = self._contract(branch, [(occ, amp)])[below]
+            vectors[below] += sums[:, e, None] * vector[:, None]
+        weights = np.where(passed[:, None], sums * amps**2, 0.0)
+        return labels, _expand(rows, weights, vectors)
 
     def _rows(self, keys, angle_rows) -> np.ndarray:
         """(settings, keys, arms, 3): each key's arm rows, (first, second,
@@ -812,6 +917,17 @@ class _PatternSum:
         index = np.array(index, dtype=np.intp).reshape(len(keys), self.n_arms)
         return table[index[None], np.array(angle_index)[:, None]]
 
+    def _stack(self, branch: _Branch, arm: int, n: int) -> np.ndarray:
+        """The analyzer matrices of arm's n-photon slots under each rotated
+        setting, shape (rotated settings, n + 1, n + 1)."""
+        key = (branch, arm, n)
+        hit = self._stacks.get(key)
+        if hit is None:
+            hit = self._stacks[key] = np.array(
+                [branch.analyzer(angles[arm], n) for angles in self.rotated]
+            )
+        return hit
+
     def _contract(self, branch: _Branch, terms) -> np.ndarray:
         """Accepted-pattern vectors of one coherence class, terms sharing
         their photon numbers per slot, under every rotated setting:
@@ -833,34 +949,33 @@ class _PatternSum:
         # first]: one column per distinct H-count tuple of the slots not
         # analyzed yet, as every other column of the whole tensor is zero
         rests = [tuple(occ[t] for _, t, _ in slots) for occ, _ in terms]
-        amps = np.array([[amp for _, amp in terms]] * n_settings, dtype=complex)
+        amps = np.array([[amp for _, amp in terms]], dtype=complex)
         for a, _, n in slots:
-            u = np.array([branch.analyzer(angles[a], n) for angles in self.rotated])
-            u = u.reshape(u.shape + (1,) * (amps.ndim - 2))
-            merged = {rest[1:]: None for rest in rests}
-            column = {rest: c for c, rest in enumerate(merged)}
-            out = np.zeros((n_settings, len(merged), n + 1) + amps.shape[2:], dtype=complex)
-            for j, rest in enumerate(rests):
-                for p in range(n + 1):
-                    out[:, column[rest[1:]], p] += amps[:, j] * u[:, p, rest[0]]
-            amps, rests = out, list(merged)
+            # each column's analyzer column, gathered, its outputs on a new
+            # axis after the column axis
+            u = self._stack(branch, a, n)[:, :, [rest[0] for rest in rests]]
+            u = u.transpose(0, 2, 1).reshape(
+                (n_settings, len(rests), n + 1) + (1,) * (amps.ndim - 2)
+            )
+            amps = amps[:, :, None] * u
+            merged = dict.fromkeys(rest[1:] for rest in rests)
+            if len(merged) < len(rests):
+                column = {rest: c for c, rest in enumerate(merged)}
+                out = np.zeros((n_settings, len(merged)) + amps.shape[2:], dtype=complex)
+                for j, rest in enumerate(rests):
+                    out[:, column[rest[1:]]] += amps[:, j]
+                amps = out
+            rests = list(merged)
             amps[np.abs(amps) <= PRUNE_EPS] = 0.0
         # arms last to first on the axes; each arm's firing pair goes last,
         # so the first arm varies fastest in the end
         prob = np.abs(amps[:, 0]) ** 2
-        per_arm = [tuple(n for b, _, n in slots if b == a) for a in range(self.n_arms)]
-        per_arm.reverse()
-        prob = prob.reshape([n_settings] + [math.prod(n + 1 for n in ns) for ns in per_arm])
-        for ns in per_arm:
-            # firing depends on the arm's plus count alone, whatever the slot order
-            weights = branch.weights(ns[::-1])
-            fired = []
-            for q in (0, 1):
-                acc = prob[:, 0] * weights[0, q]
-                for j in range(1, len(weights)):
-                    acc += prob[:, j] * weights[j, q]
-                fired.append(acc)
-            prob = np.stack(fired, axis=-1)
+        for a in reversed(range(self.n_arms)):
+            # the arm's slot axes run last slot first; firing depends on the
+            # arm's plus count alone
+            ns = tuple(n for b, _, n in reversed(slots) if b == a)
+            weights = branch.weights(ns)
+            prob = prob.reshape(n_settings, len(weights), -1).transpose(0, 2, 1) @ weights
         return prob.reshape(n_settings, -1)
 
 
@@ -880,24 +995,28 @@ def _keyed(sums: dict) -> tuple:
 def _expand(rows: np.ndarray, weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """vectors plus the weighted sum of the keys' profiles, expanded into
     pattern vectors with the first arm varying fastest, in place. rows is
-    (settings, keys, arms, 2 or more), weights (settings, keys); a block
-    of keys at a time keeps the expanded rows small."""
+    (settings, keys, arms, 2 or more); weights is (settings, keys), folded
+    into each profile product from the start, or (settings, components,
+    keys), contracted with the finished profiles into vectors of shape
+    (settings, components, 2^n). A block of keys at a time keeps the
+    expanded rows small."""
     n_settings, n_keys, n_arms, _ = rows.shape
     for start in range(0, n_keys, _PROFILE_BLOCK):
         block = rows[:, start : start + _PROFILE_BLOCK, :, :2]
-        prob = weights[:, start : start + _PROFILE_BLOCK, None]
+        w = weights[..., start : start + _PROFILE_BLOCK]
+        prob = w[..., None] if w.ndim == 2 else np.ones(block.shape[:2] + (1,))
         for a in reversed(range(n_arms)):
             prob = (prob[..., None] * block[:, :, a, None, :]).reshape(
                 n_settings, block.shape[1], -1
             )
-        vectors += prob.sum(axis=1)
+        vectors += prob.sum(axis=1) if w.ndim == 2 else w @ prob
     return vectors
 
 
-def _pattern_vectors(apparatus: Apparatus, members, settings) -> list:
-    """Per-pulse probabilities of the 2^n accepted patterns under each
-    setting, summed over one stream of (weight, supported, branch) members
-    from _members, which hold only the terms with a photon in every arm.
+def _pattern_sum(apparatus: Apparatus, members, settings) -> _PatternSum:
+    """One _PatternSum for settings, filled from one stream of (weight,
+    supported, branch, k) members from _members, which hold only the terms
+    with a photon in every arm.
 
     The supported terms are grouped into coherence classes, the terms an
     analyzer can mix: at a rotated setting the terms with equal photon
@@ -906,15 +1025,22 @@ def _pattern_vectors(apparatus: Apparatus, members, settings) -> list:
     into one _PatternSum for the whole plan, which then reduces every
     setting together: per-arm rows and class contractions carry the
     settings as an array axis instead of being recomputed per setting.
+    """
+    plan = _PatternSum(apparatus.n_arms, list(settings))
+    for weight, supported, branch, k in members:
+        plan.add(weight, supported, branch, k)
+    return plan
+
+
+def _pattern_vectors(apparatus: Apparatus, members, settings) -> list:
+    """Per-pulse probabilities of the 2^n accepted patterns under each
+    setting, summed over one stream of members (_pattern_sum).
 
     The vectors are indexed with the first arm varying fastest, the
     reverse of the order all_detection_patterns labels. This is a known
     defect kept so that recorded benchmark distributions still match.
     """
-    plan = _PatternSum(apparatus.n_arms, list(settings))
-    for weight, supported, branch in members:
-        plan.add(branch, weight, supported)
-    return plan.vectors()
+    return _pattern_sum(apparatus, members, settings).vectors()
 
 
 def absolute_outcome_distributions(apparatus: Apparatus, settings) -> list:
@@ -939,20 +1065,29 @@ def absolute_outcome_distributions(apparatus: Apparatus, settings) -> list:
         if key not in cache:
             todo.setdefault(key, setting)
     if todo:
-        patterns = (
-            counts
-            for order in range(apparatus.truncation_pairs + 1)
-            for counts in admitted_patterns(apparatus.topology, order)
-        )
-        members = _members(apparatus, patterns)
-        vectors = _pattern_vectors(apparatus, members, list(todo.values()))
+        vectors = _pattern_vectors(apparatus, _all_members(apparatus), list(todo.values()))
         for (key, setting), vector in zip(todo.items(), vectors):
-            patterns = _detection_patterns(apparatus.n_arms, setting.symbols)
-            # keys are shared by every distribution of this shape, and exact
-            # zeros (254 of the 256 HV patterns of the default star) share one
-            # 0.0, so callers that keep many distributions keep them small
-            cache[key] = {pat: v or 0.0 for pat, v in zip(patterns, vector.tolist())}
+            cache[key] = _distribution(apparatus, setting, vector)
     return [dict(cache[(s.label, s.angles)]) for s in settings]
+
+
+def _all_members(apparatus: Apparatus):
+    """_members of every emission pattern the truncation admits."""
+    patterns = (
+        counts
+        for order in range(apparatus.truncation_pairs + 1)
+        for counts in admitted_patterns(apparatus.topology, order)
+    )
+    return _members(apparatus, patterns)
+
+
+def _distribution(apparatus: Apparatus, setting: MeasurementSetting, vector) -> dict:
+    """A pattern vector as a distribution. Its keys are shared by every
+    distribution of this shape, and exact zeros (254 of the 256 HV
+    patterns of the default star) share one 0.0, so callers that keep many
+    distributions keep them small."""
+    patterns = _detection_patterns(apparatus.n_arms, setting.symbols)
+    return {pat: v or 0.0 for pat, v in zip(patterns, vector.tolist())}
 
 
 def absolute_outcome_distribution(
@@ -967,10 +1102,9 @@ def absolute_outcome_distribution(
     return distribution
 
 
-def _accepted_distribution(apparatus: Apparatus, setting: MeasurementSetting):
-    """The absolute distribution and its total; raises when the
-    apparatus accepts nothing, so no run plan reads as zero events."""
-    absolute = absolute_outcome_distribution(apparatus, setting)
+def _accepted(absolute: dict) -> tuple:
+    """An absolute distribution and its total; raises when it accepts
+    nothing, so no run plan reads as zero events."""
     total = sum(absolute.values())
     if total <= 0.0:
         raise ValueError("no accepted coincidences under this truncation")
@@ -979,7 +1113,7 @@ def _accepted_distribution(apparatus: Apparatus, setting: MeasurementSetting):
 
 def outcome_distribution(apparatus: Apparatus, setting: MeasurementSetting) -> dict:
     """Conditional distribution over patterns given an accepted event."""
-    absolute, total = _accepted_distribution(apparatus, setting)
+    absolute, total = _accepted(absolute_outcome_distribution(apparatus, setting))
     return {pat: p / total for pat, p in absolute.items()}
 
 
@@ -1016,8 +1150,12 @@ def parity_visibility(apparatus: Apparatus) -> float:
     """Signed parity correlation at analyzer angle zero, conditioned on
     an accepted coincidence; the simulated analog of an interference
     visibility measurement on this apparatus."""
-    dist = outcome_distribution(apparatus, k_setting(0, apparatus.n_arms))
-    return sum(((-1) ** pat.count("-")) * p for pat, p in dist.items())
+    absolute = absolute_outcome_distribution(apparatus, k_setting(0, apparatus.n_arms))
+    return _parity(*_accepted(absolute))
+
+
+def _parity(absolute: dict, total: float) -> float:
+    return sum(((-1) ** pat.count("-")) * (p / total) for pat, p in absolute.items())
 
 
 def synthesizer_visibility(
@@ -1066,13 +1204,58 @@ def fusion_visibility(
     )
 
 
+def _overlap_factor(apparatus: Apparatus, component: tuple) -> float:
+    """The weight every member of component (branch, k) carries at the
+    apparatus's overlaps: gamma_s^k (1 - gamma_s)^(S - k) over S sources,
+    times the branch weight."""
+    branch, k = component
+    gamma_s, gamma_f = apparatus.synthesizer_overlap, apparatus.fusion_overlap
+    fusion = 1.0 - gamma_f if branch.marked else gamma_f
+    return gamma_s**k * (1.0 - gamma_s) ** (apparatus.topology.n_sources - k) * fusion
+
+
+def _overlap_distributions(
+    apparatus: Apparatus, setting: MeasurementSetting, overlaps
+) -> list:
+    """absolute_outcome_distribution(replace(apparatus, **o), setting) for
+    a rotated setting and each o in overlaps, a dict of
+    synthesizer_overlap and fusion_overlap values, read off this
+    apparatus's one build.
+
+    The setting's vector is the sum of its overlap components
+    (_PatternSum.components), and every member of a component carries one
+    weight, a product of overlap factors (_overlap_factor). So the vector at
+    other overlaps rescales each component by the ratio of its weights
+    there and here. An overlap that changes must lie strictly inside
+    (0, 1) here, where every component has weight.
+    """
+    plan = _pattern_sum(apparatus, _all_members(apparatus), [setting])
+    labels, components = plan.components()
+    here = np.array([_overlap_factor(apparatus, c) for c in labels])
+    out = []
+    for overlap in overlaps:
+        target = replace(apparatus, **overlap)
+        there = np.array([_overlap_factor(target, c) for c in labels])
+        out.append(_distribution(apparatus, setting, (there / here) @ components[0]))
+    return out
+
+
 def _solve_overlap(apparatus: Apparatus, overlap: str, target: float) -> float:
     """The value g in [0, 1] of the named overlap at which the apparatus
-    shows parity visibility target, V(g) = a(g)/c(g), a and c linear in g."""
+    shows parity visibility target, V(g) = a(g)/c(g), a and c linear in g.
+
+    The apparatus is built once, at g = 1/2, and read at g = 0 and 1
+    (_overlap_distributions). At 1/2 every weight that g enters is a
+    power of two, so the ratios that read the two ends are exactly 2 and
+    0: each end's vector is the sum of doubled components, the same terms
+    a build at that end sums, up to the order of summation.
+    """
+    half = replace(apparatus, **{overlap: 0.5})
     ends = []
-    for app in (replace(apparatus, **{overlap: g}) for g in (0.0, 1.0)):
-        accepted = absolute_outcome_distribution(app, k_setting(0, app.n_arms))
-        ends.append((parity_visibility(app), sum(accepted.values())))
+    reads = [{overlap: 0.0}, {overlap: 1.0}]
+    for dist in _overlap_distributions(half, k_setting(0, half.n_arms), reads):
+        absolute, total = _accepted(dist)
+        ends.append((_parity(absolute, total), total))
     (v0, c0), (v1, c1) = ends
     below = c0 * (target - v0)
     above = c1 * (v1 - target)
@@ -1103,8 +1286,10 @@ def calibrate_overlaps(
     and its split members by 1-g, and the fusion overlap weights the
     interfering and source-marked branches the same way. So the signed
     parity sum a(g) and the accepted total c(g) are linear, and
-    a(g) = target * c(g) is solved from the apparatus at g = 0 and 1. A
-    target outside [V(0), V(1)] raises.
+    a(g) = target * c(g) is solved from D(0) and D(1). Each inversion
+    builds its apparatus once, at g = 1/2, where D(0) and D(1) are the
+    build's overlap components doubled or dropped, exact in binary
+    (_solve_overlap). A target outside [V(0), V(1)] raises.
     """
     single = assemble_apparatus(
         single_source_topology(),
@@ -1142,7 +1327,7 @@ def monte_carlo_counts(
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
-    absolute, _ = _accepted_distribution(apparatus, setting)
+    absolute, _ = _accepted(absolute_outcome_distribution(apparatus, setting))
     stream = np.random.SeedSequence([seed, zlib.crc32(setting.label.encode())])
     rng = np.random.default_rng(stream)
     means = apparatus.repetition_rate_hz * np.fromiter(absolute.values(), float) * duration_s

@@ -47,7 +47,7 @@ from photonfusion.experiment import (
     synthesizer_visibility,
 )
 from photonfusion.elements import apply_element, element_on
-from photonfusion.fock import ModeLabel, registry_from
+from photonfusion.fock import AmplitudeState, ModeLabel, registry_from
 from photonfusion.sources import TAG_BROAD, TAG_NARROW, PdcSource
 from photonfusion.topology import (
     FusionTopology,
@@ -613,6 +613,8 @@ def test_calibrated_overlaps_reproduce_targets():
     cal = calibrate_overlaps(pair_probability=0.058, efficiency=0.265)
     assert cal.synthesizer_overlap == pytest.approx(0.967074, abs=1e-5)
     assert cal.fusion_overlap == pytest.approx(0.914894, abs=1e-5)
+    # the solution of two builds per overlap, at g = 0 and g = 1
+    assert tuple(cal) == pytest.approx((0.967073855583857, 0.9148936026998017), rel=1e-12)
     assert synthesizer_visibility(
         cal.synthesizer_overlap, pair_probability=0.058, efficiency=0.265
     ) == pytest.approx(0.94, abs=1e-9)
@@ -620,6 +622,59 @@ def test_calibrated_overlaps_reproduce_targets():
         cal.fusion_overlap, cal.synthesizer_overlap,
         pair_probability=0.058, efficiency=0.265,
     ) == pytest.approx(0.76, abs=1e-9)
+
+
+def test_calibration_builds_each_overlap_once(monkeypatch):
+    calls = []
+    all_members = experiment._all_members
+
+    def counted(apparatus):
+        calls.append((apparatus.synthesizer_overlap, apparatus.fusion_overlap))
+        return all_members(apparatus)
+
+    monkeypatch.setattr(experiment, "_all_members", counted)
+    cal = calibrate_overlaps(pair_probability=0.058, efficiency=0.265)
+    assert calls == [(0.5, 1.0), (cal.synthesizer_overlap, 0.5)]
+
+
+@pytest.mark.parametrize(
+    "topology,truncation",
+    [(star_topology(2), 3), (chain_topology(3), 4), (star_topology(4), 5)],
+    ids=["star-2", "chain-3", "star-4"],
+)
+def test_one_build_reads_every_overlap(topology, truncation):
+    build = functools.partial(
+        assemble_apparatus, topology, pair_probability=0.058,
+        detector_efficiency=0.265, truncation_pairs=truncation,
+    )
+    app = build(synthesizer_overlap=0.62, fusion_overlap=0.37)
+    n = app.n_arms
+    per_arm = angle_setting([0.3 + 0.7 * a for a in range(n)])
+    run_settings = [k_setting(0, n), k_setting(3, n), per_arm]
+    grid = (0.0, 0.3, 0.94, 1.0)
+    overlaps = [dict(synthesizer_overlap=gs, fusion_overlap=gf) for gs in grid for gf in grid]
+    reads = [experiment._overlap_distributions(app, s, overlaps) for s in run_settings]
+    for i, overlap in enumerate(overlaps):
+        fresh = absolute_outcome_distributions(build(**overlap), run_settings)
+        for read, expected in zip(reads, fresh):
+            assert_matches(read[i], expected)
+
+
+@pytest.mark.parametrize("synthesizer_overlap", [0.0, 1.0])
+def test_build_at_a_boundary_reads_the_other_overlap(synthesizer_overlap):
+    # calibration reads the fusion overlap off a build at the solved
+    # synthesizer overlap, which may be 0 or 1
+    app = assemble_apparatus(
+        star_topology(2), pair_probability=0.058, synthesizer_overlap=synthesizer_overlap,
+        fusion_overlap=0.5, detector_efficiency=0.265, truncation_pairs=3,
+    )
+    setting = k_setting(0, app.n_arms)
+    for fusion_overlap in (0.0, 1.0):
+        (read,) = experiment._overlap_distributions(
+            app, setting, [dict(fusion_overlap=fusion_overlap)]
+        )
+        fresh = dataclasses.replace(app, fusion_overlap=fusion_overlap)
+        assert_matches(read, absolute_outcome_distribution(fresh, setting))
 
 
 def test_unreachable_visibility_target_raises():
@@ -955,6 +1010,27 @@ def test_amplitude_floor_matches_oracle(p):
         assert got == absolute_outcome_distribution(app, setting)
 
 
+@pytest.mark.parametrize("marked", [False, True], ids=["interfering", "distinguishable"])
+def test_closed_form_analyzer_matches_apply_element(marked):
+    # every photon number up to 14 at every k*pi/8 and three generic angles
+    app = assemble_apparatus(star_topology(2), pair_probability=0.05, fusion_overlap=0.5)
+    (branch,) = [b for b in app._branches if b.marked == marked]
+    for theta in [k * math.pi / 8 for k in range(16)] + [0.3, 1.234, 5.0]:
+        element = experiment._analyzer_element(
+            branch.registry, app.output_arms[0], branch.tags[0], theta
+        )
+        for n in range(15):
+            expected = np.zeros((n + 1, n + 1), dtype=complex)
+            for h in range(n + 1):
+                occ = (h, n - h) + (0,) * (len(branch.registry) - 2)
+                state = AmplitudeState(branch.registry, {occ: 1.0 + 0j}, n)
+                for out, a in apply_element(state, element).terms.items():
+                    expected[out[0], h] = a
+            got = branch.analyzer(theta, n)
+            assert np.array_equal(got == 0, expected == 0), (theta, n)
+            assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected)), (theta, n)
+
+
 def test_plan_contracts_each_class_once(monkeypatch):
     # default star at truncation 5: its multi-pair terms form multi-term
     # coherence classes, contracted with every rotated setting at once
@@ -1045,7 +1121,7 @@ def test_members_assemble_only_supported_terms(topology, fusion_overlap, truncat
         for counts in admitted_patterns(topology, order)
     ]
     n_terms = 0
-    for _, supported, branch in experiment._members(app, patterns):
+    for _, supported, branch, _ in experiment._members(app, patterns):
         groups = arm_groups(branch.registry, app.output_arms)
         for occ, _ in supported:
             assert all(sum(occ[i] for i in h + v) for h, v in groups)
@@ -1097,7 +1173,7 @@ def single_term_distribution(app, bits):
     for arm, pol in zip(app.output_arms, bits):
         occ[registry.index(ModeLabel(arm, pol))] = 1
     branch = app._branches[0]
-    member = (1.0, [(bytes(occ), 1.0 + 0j)], branch)
+    member = (1.0, [(bytes(occ), 1.0 + 0j)], branch, 0)
     (vector,) = _pattern_vectors(app, [member], [hv_setting()])
     return dict(zip((p.bits for p in all_detection_patterns(app.n_arms)), vector))
 
