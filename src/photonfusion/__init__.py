@@ -1,4 +1,9 @@
-"""Exact simulation of multi-pair photon fusion interferometry."""
+"""Exact simulation of multi-pair photon fusion interferometry.
+
+The simulator (experiment, and numpy behind it) is imported on first use
+of one of its names, so reading and analyzing recorded histograms does
+not pay for loading it.
+"""
 
 from .analysis import (
     ObservableResult,
@@ -11,25 +16,15 @@ from .analysis import (
     witness_from_histograms,
 )
 from .config import ConfigError, ExperimentConfig, load_config, save_config
-from .experiment import (
-    Apparatus,
+from .records import (
     CoincidenceHistogram,
     DetectionPattern,
     MeasurementSetting,
-    absolute_outcome_distribution,
-    assemble_apparatus,
-    build_apparatus,
-    calibrate_overlaps,
-    emission_pattern_probability,
-    fusion_visibility,
     histogram_from_lines,
     histogram_to_lines,
     hv_setting,
     k_setting,
-    monte_carlo_counts,
-    outcome_distribution,
     setting_from_label,
-    synthesizer_visibility,
 )
 from .topology import (
     FusionTopology,
@@ -78,3 +73,19 @@ __all__ = [
     "synthesizer_visibility",
     "witness_from_histograms",
 ]
+
+# the names of __all__ not imported above are the engine's, served from
+# experiment on first access (PEP 562)
+_ENGINE = frozenset(__all__) - globals().keys()
+
+
+def __getattr__(name):
+    if name in _ENGINE:
+        from . import experiment
+
+        return getattr(experiment, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _ENGINE)

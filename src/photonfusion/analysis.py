@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .experiment import CoincidenceHistogram, DetectionPattern
+from .records import CoincidenceHistogram, DetectionPattern
 
 __all__ = [
     "ObservableResult",

@@ -29,15 +29,11 @@ from .config import (
     default_config,
     load_config,
 )
-from .experiment import (
+from .records import (
     CoincidenceHistogram,
-    absolute_outcome_distributions,
     all_detection_patterns,
-    build_apparatus,
     histogram_from_lines,
     histogram_to_lines,
-    monte_carlo_counts,
-    outcome_distribution,
     setting_from_label,
 )
 from .topology import (
@@ -85,6 +81,14 @@ def _load_config(args):
 
 
 def cmd_simulate(args) -> int:
+    # the only command that computes distributions loads the engine (and numpy)
+    from .experiment import (
+        absolute_outcome_distributions,
+        build_apparatus,
+        monte_carlo_counts,
+        outcome_distribution,
+    )
+
     config = _load_config(args)
     apparatus = build_apparatus(config)
     out_dir = Path(args.out or config.output.directory)

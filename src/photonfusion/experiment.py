@@ -4,7 +4,9 @@ Builds the multi-source interferometer over tagged modes, moves each
 source's classical ensemble, read in closed form off its pair counts,
 through the fusion splitters, analyzers and detectors, and turns the
 result into exact outcome probabilities or Poisson-sampled coincidence
-histograms.
+histograms. The records it fills (settings, detection patterns,
+histograms and their files) are defined in records, which reading and
+analyzing a run need without this engine.
 
 The optics are described once, as linear elements, and compiled from
 those elements on first use rather than applied to every member state.
@@ -53,6 +55,19 @@ from .fock import (
     ModeRegistry,
     registry_from,
 )
+from .records import (
+    CoincidenceHistogram,
+    DetectionPattern,
+    MeasurementSetting,
+    _detection_patterns,
+    all_detection_patterns,
+    angle_setting,
+    histogram_from_lines,
+    histogram_to_lines,
+    hv_setting,
+    k_setting,
+    setting_from_label,
+)
 from .sources import PdcSource, source_ensemble, source_mode_labels
 from .topology import (
     FusionTopology,
@@ -86,147 +101,6 @@ __all__ = [
     "histogram_to_lines",
     "histogram_from_lines",
 ]
-
-
-# ---- Measurement settings ----
-
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """Analyzer configuration for one run: a basis angle per output arm,
-    or the computational basis when angles is None."""
-
-    label: str
-    angles: tuple | None = None
-
-    def __post_init__(self):
-        if self.angles is not None:
-            angles = tuple(float(a) for a in self.angles)
-            object.__setattr__(self, "angles", angles)
-            for a in angles:
-                if not 0.0 <= a < 2 * math.pi:
-                    raise ValueError(f"analyzer angle {a} outside [0, 2*pi)")
-
-    @property
-    def symbols(self) -> tuple:
-        return ("H", "V") if self.angles is None else ("+", "-")
-
-
-def hv_setting() -> MeasurementSetting:
-    return MeasurementSetting("HV", None)
-
-
-def k_setting(k: int, n_arms: int = 8) -> MeasurementSetting:
-    """Every arm analyzed at angle k*pi/8."""
-    if not isinstance(k, int) or not 0 <= k <= 15:
-        raise ValueError("k must be an integer in 0..15")
-    return MeasurementSetting(f"k{k}", (k * math.pi / 8,) * n_arms)
-
-
-_ANGLES_PREFIX = "angles:"
-
-
-def angle_setting(angles, label: str | None = None) -> MeasurementSetting:
-    """One analyzer angle per arm. Without a label, the label spells out
-    the angles, so settings at different angles draw different Poisson
-    streams and setting_from_label reads the label back exactly."""
-    angles = tuple(float(a) for a in angles)
-    if label is None:
-        label = _ANGLES_PREFIX + ";".join(map(repr, angles))
-    return MeasurementSetting(label, angles)
-
-
-def setting_from_label(label: str, n_arms: int = 8) -> MeasurementSetting:
-    if label == "HV":
-        return hv_setting()
-    if label.startswith("k") and label[1:].isdigit():
-        return k_setting(int(label[1:]), n_arms)
-    if label.startswith(_ANGLES_PREFIX):
-        try:
-            angles = [float(a) for a in label[len(_ANGLES_PREFIX) :].split(";")]
-        except ValueError:
-            raise ValueError(f"unknown setting label {label!r}") from None
-        if len(angles) != n_arms:
-            raise ValueError(f"setting {label!r} has {len(angles)} angles for {n_arms} arms")
-        return MeasurementSetting(label, tuple(angles))
-    raise ValueError(f"unknown setting label {label!r}")
-
-
-# ---- Detection-side types ----
-
-
-_PATTERN_SYMBOLS = frozenset("HV+-")
-
-
-@dataclass(frozen=True, order=True)
-class DetectionPattern:
-    """One symbol per output arm, arms in ascending label order."""
-
-    bits: str
-
-    def __post_init__(self):
-        if not self.bits or not set(self.bits) <= _PATTERN_SYMBOLS:
-            raise ValueError(f"bad pattern {self.bits!r}")
-        if not (set(self.bits) <= {"H", "V"} or set(self.bits) <= {"+", "-"}):
-            raise ValueError(f"pattern {self.bits!r} mixes basis symbols")
-
-    def __str__(self) -> str:
-        return self.bits
-
-    def count(self, symbol: str) -> int:
-        return self.bits.count(symbol)
-
-
-def all_detection_patterns(n_arms: int, symbols=("H", "V")) -> list:
-    """All 2^n patterns; the first arm's symbol varies slowest."""
-    return list(_detection_patterns(n_arms, tuple(symbols)))
-
-
-@functools.lru_cache(maxsize=32)
-def _detection_patterns(n_arms: int, symbols: tuple) -> tuple:
-    """all_detection_patterns, built once per width and basis so that every
-    distribution of that shape shares its (immutable) keys."""
-    first, second = symbols
-    out = []
-    for i in range(2**n_arms):
-        bits = "".join(
-            second if (i >> (n_arms - 1 - j)) & 1 else first for j in range(n_arms)
-        )
-        out.append(DetectionPattern(bits))
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=32)
-def _pattern_index(n_arms: int) -> dict:
-    """The shared keys of both bases at one width, by their bits."""
-    return {
-        pat.bits: pat
-        for symbols in (("H", "V"), ("+", "-"))
-        for pat in _detection_patterns(n_arms, symbols)
-    }
-
-
-@dataclass(frozen=True)
-class CoincidenceHistogram:
-    setting: MeasurementSetting
-    counts: dict
-    duration_s: float
-    seed: int
-    # the counts are exact probabilities, which carry no counting error
-    exact: bool = False
-
-    def __post_init__(self):
-        widths = {len(p.bits) for p in self.counts}
-        if len(widths) > 1:
-            raise ValueError("histogram mixes pattern widths")
-        if not all(0 <= c < math.inf for c in self.counts.values()):
-            raise ValueError("negative count")
-        if not 0 < self.duration_s < math.inf:
-            raise ValueError("duration must be positive")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 # ---- Apparatus ----
@@ -1334,51 +1208,4 @@ def monte_carlo_counts(
     counts = dict(zip(absolute, rng.poisson(means).tolist()))
     return CoincidenceHistogram(
         setting=setting, counts=counts, duration_s=float(duration_s), seed=seed
-    )
-
-
-# ---- Histogram files ----
-
-
-def histogram_to_lines(hist: CoincidenceHistogram) -> list:
-    """Header 'setting,duration,seed', with ',exact' appended for an exact
-    histogram, then one 'pattern,count' per line."""
-    flag = ",exact" if hist.exact else ""
-    lines = [f"{hist.setting.label},{hist.duration_s!r},{hist.seed}{flag}"]
-    rows = sorted(hist.counts.items(), key=lambda row: row[0].bits)
-    lines.extend(f"{pat.bits},{count}" for pat, count in rows)
-    return lines
-
-
-def histogram_from_lines(lines) -> CoincidenceHistogram:
-    lines = list(lines)
-    if not lines:
-        raise ValueError("empty histogram data")
-    head = lines[0].split(",")
-    if len(head) < 3 or head[3:] not in ([], ["exact"]):
-        raise ValueError(f"bad histogram header {lines[0]!r}")
-    label, duration, seed = head[:3]
-    rows = [line.partition(",") for line in lines[1:] if line.strip()]
-    # a file with a row per pattern of its width reads into the shared keys;
-    # any other row is checked as a new pattern
-    width = len(rows[0][0]) if rows else 0
-    known = _pattern_index(width) if 0 < width and 2**width <= len(rows) else {}
-    counts = {}
-    for bits, _, count in rows:
-        value = float(count)
-        pat = known.get(bits)
-        if pat is None:
-            pat = DetectionPattern(bits)
-        if pat in counts:
-            raise ValueError(f"duplicate pattern row {bits!r}")
-        counts[pat] = int(value) if value.is_integer() else value
-    if not counts:
-        raise ValueError("histogram has no pattern rows")
-    n_arms = len(next(iter(counts)).bits)
-    return CoincidenceHistogram(
-        setting=setting_from_label(label, n_arms),
-        counts=counts,
-        duration_s=float(duration),
-        seed=int(seed),
-        exact=len(head) == 4,
     )

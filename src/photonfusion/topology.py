@@ -9,6 +9,7 @@ what entanglement graph the wiring builds.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -207,8 +208,10 @@ def enumerate_error_terms(topology: FusionTopology, order: int):
     Any pattern other than one pair per source is flagged erroneous: it
     masquerades as the wanted event once bucket detectors and losses hide
     the surplus. Each viable pattern counts once; rows come out sorted by
-    pattern, largest first.
+    pattern, largest first. A negative order raises.
     """
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
     desired = (1,) * topology.n_sources
     rows = [
         ErrorTerm(EmissionPattern(counts), 1, counts != desired)
@@ -261,11 +264,13 @@ def n_fold_rate(
     and detected, hence repetition rate times (emission probability x
     efficiency)^n; success_factor folds in the fusion projection and any
     analyzer acceptance, and is an explicit input rather than a guess.
+    The probabilities lie in [0, 1] and the repetition rate is positive
+    and finite, as in the config; NaN fails every one of these checks.
     """
-    if pair_probability < 0 or efficiency < 0:
-        raise ValueError("probabilities cannot be negative")
-    if repetition_rate_hz <= 0:
-        raise ValueError("repetition rate must be positive")
+    if not (0.0 <= pair_probability <= 1.0 and 0.0 <= efficiency <= 1.0):
+        raise ValueError("pair_probability and efficiency must lie in [0, 1]")
+    if not 0.0 < repetition_rate_hz < math.inf:
+        raise ValueError("repetition rate must be positive and finite")
     if not isinstance(n_pairs, int) or n_pairs < 1:
         raise ValueError("n_pairs must be a positive integer")
     if not 0.0 < success_factor <= 1.0:

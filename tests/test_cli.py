@@ -124,6 +124,24 @@ def test_rate_rejects_bad_parameters(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--efficiency", "2"),
+        ("--pair-probability", "1.5"),
+        ("--pair-probability", "nan"),
+        ("--efficiency", "nan"),
+        ("--repetition-rate-hz", "inf"),
+        ("--repetition-rate-hz", "nan"),
+    ],
+)
+def test_rate_rejects_impossible_inputs(capsys, flag, value):
+    assert main(["rate", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
 # ---- topology ----
 
 
@@ -145,6 +163,12 @@ def test_topology_star_order_four_is_signal_only(tmp_path):
     assert main(["topology", "star", "--order", "4", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "topology_star_order4.csv").read_text().splitlines()
     assert lines[1:] == ["1+1+1+1,1,false", "total,1,"]
+
+
+def test_topology_negative_order_writes_nothing(tmp_path, capsys):
+    assert main(["topology", "star", "--order", "-1", "--out", str(tmp_path)]) == 2
+    assert "order" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_topology_custom_needs_wiring(tmp_path, capsys):
@@ -424,13 +448,51 @@ def test_witness_json_has_fixed_keys(tmp_path):
         assert key in report
 
 
-def test_module_entry_point_runs():
-    # the child imports the same package the tests import, installed or not
+def child_env():
+    """Environment for a child interpreter that imports the same package
+    the tests import, installed or not."""
     src = str(Path(photonfusion.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+LIGHT_COMMANDS = """
+import sys
+import photonfusion, photonfusion.cli
+from photonfusion.config import load_config
+run, config, out = sys.argv[1:]
+load_config(config)
+main = photonfusion.cli.main
+assert main(["analyze", run, "--config", config]) == 0
+assert main(["rate"]) == 0
+assert main(["topology", "star", "--order", "5", "--out", out]) == 0
+loaded = sorted({"numpy", "photonfusion.experiment"} & set(sys.modules))
+assert not loaded, loaded
+assert callable(photonfusion.build_apparatus)
+assert "numpy" in sys.modules
+"""
+
+
+def test_light_commands_never_load_numpy(tmp_path):
+    # analyze, rate and topology read records and counting rules only; the
+    # engine (and numpy) loads when a package name of it is first used
+    config = tmp_path / "config.json"
+    save_config(default_config(), config)
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out", str(run)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-c", LIGHT_COMMANDS, str(run), str(config), str(tmp_path / "topo")],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (run / "witness.json").exists()
+    assert (tmp_path / "topo" / "topology_star_order5.csv").exists()
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "photonfusion.cli", "rate"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("rate_hz:")

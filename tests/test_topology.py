@@ -2,6 +2,7 @@
 arithmetic, and graph bookkeeping."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -160,6 +161,11 @@ def test_order_below_source_count_is_empty():
     assert enumerate_error_terms(chain_topology(), 0) == []
 
 
+def test_negative_order_is_refused():
+    with pytest.raises(ValueError, match="order"):
+        enumerate_error_terms(star_topology(), -1)
+
+
 def test_desired_order_is_the_single_clean_pattern():
     for topo in (star_topology(), chain_topology()):
         rows = enumerate_error_terms(topo, 4)
@@ -290,6 +296,12 @@ def test_rate_validation():
         n_fold_rate(0.1, 0.2, 1e6, success_factor=0.0)
     with pytest.raises(ValueError):
         n_fold_rate(0.1, 0.2, 1e6, success_factor=1.5)
+    # the config's ranges: probabilities in [0, 1], a positive finite
+    # repetition rate, and no NaN slipping past a one-sided check
+    for p, xi, rep in ((1.5, 0.2, 1e6), (0.1, 2.0, 1e6), (math.nan, 0.2, 1e6),
+                       (0.1, math.nan, 1e6), (0.1, 0.2, math.inf), (0.1, 0.2, math.nan)):
+        with pytest.raises(ValueError):
+            n_fold_rate(p, xi, rep)
 
 
 def test_rate_monotone_in_every_input():
