@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import AmplitudeState, ModeRegistry, PRUNE_EPS
+from .fock import AmplitudeState, ModeRegistry, _cancels
+from .topology import _compositions
 
 UNITARITY_TOL = 1e-12
 
@@ -52,8 +53,9 @@ class LinearElement:
     def _expansion(self, j: int, n: int):
         """All ways to send n photons from input j into the outputs.
 
-        Returns [(counts_per_output, coefficient)], where the coefficient
-        is the multinomial weight n!/prod(t!) times prod U[k, j]^t_k.
+        Returns [(counts_per_output, coefficient, its magnitude)], where the
+        coefficient is the multinomial weight n!/prod(t!) times
+        prod U[k, j]^t_k.
         Cached per element instance; the same (input, count) pair shows up
         for many terms of a big state.
         """
@@ -73,18 +75,9 @@ class LinearElement:
                         break
                     amp = amp * c**tk / math.factorial(tk)
             if amp != 0:
-                out.append((t, amp))
+                out.append((t, amp, float(abs(amp))))
         self._cache[key] = out
         return out
-
-
-def _compositions(n: int, k: int):
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
 
 
 def element_on(registry: ModeRegistry, labels, matrix, name: str = "element") -> LinearElement:
@@ -101,38 +94,46 @@ def apply_element(state: AmplitudeState, element: LinearElement) -> AmplitudeSta
 
         amp_out = amp_in / sqrt(prod n_j!) * prod_j [expansion_j]
                   * sqrt(prod m_k!)
+
+    Each output amplitude is a sum of such products, the leaves. Next to
+    every partial and output amplitude runs the sum of its leaves'
+    magnitudes, and an output that cancels within the rounding of its
+    leaves (fock._cancels) is an exact zero and dropped.
     """
     idx = element.mode_indices
     width = len(state.registry)
     if idx and max(idx) >= width:
         raise ValueError(f"{element.name}: mode index out of range for this registry")
+    # each output's amplitude and its leaves' summed magnitudes
     out: dict = {}
     for occ, amp in state.terms.items():
         ns = tuple(occ[i] for i in idx)
         if not any(ns):
-            out[occ] = out.get(occ, 0j) + amp
+            out[occ] = (amp, abs(amp))
             continue
         pref = amp / math.sqrt(math.prod(math.factorial(n) for n in ns))
-        partial = {(0,) * len(idx): pref}
+        partial = {(0,) * len(idx): (pref, abs(pref))}
         for j, n in enumerate(ns):
             if not n:
                 continue
             nxt: dict = {}
-            for acc, coef in partial.items():
-                for t, c in element._expansion(j, n):
+            for acc, (coef, mag) in partial.items():
+                for t, c, size_c in element._expansion(j, n):
                     key = tuple(a + b for a, b in zip(acc, t))
-                    nxt[key] = nxt.get(key, 0j) + coef * c
+                    total, size = nxt.get(key, (0j, 0.0))
+                    nxt[key] = (total + coef * c, size + mag * size_c)
             partial = nxt
         scratch = list(occ)
-        for m, coef in partial.items():
+        for m, (coef, mag) in partial.items():
             for pos, i in enumerate(idx):
                 scratch[i] = m[pos]
             key = tuple(scratch)
-            coef *= math.sqrt(math.prod(math.factorial(mm) for mm in m))
-            out[key] = out.get(key, 0j) + coef
+            bosonic = math.sqrt(math.prod(math.factorial(mm) for mm in m))
+            total, size = out.get(key, (0j, 0.0))
+            out[key] = (total + coef * bosonic, size + mag * bosonic)
     return AmplitudeState(
         state.registry,
-        {occ: a for occ, a in out.items() if abs(a) > PRUNE_EPS},
+        {occ: a for occ, (a, size) in out.items() if not _cancels(a, size)},
         state.truncation_order,
     )
 

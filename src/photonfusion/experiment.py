@@ -49,10 +49,10 @@ from .elements import (
     phase_matrix,
 )
 from .fock import (
-    PRUNE_EPS,
     AmplitudeState,
     ModeLabel,
     ModeRegistry,
+    _cancels,
     registry_from,
 )
 from .records import (
@@ -398,10 +398,20 @@ class _Branch:
         """<p +, (n-p) -| analyzer |h H, (n-h) V> of a slot holding n
         photons, as a matrix [p, h]: the symmetric power of the slot's
         one-photon analyzer amplitudes (_symmetric_power)."""
-        u = self._analyzers.get((theta, n))
-        if u is None:
-            u = self._analyzers[(theta, n)] = _symmetric_power(self.one_photon(theta), n)
-        return u
+        return self.analyzed(theta, n)[0]
+
+    def analyzed(self, theta: float, n: int) -> tuple:
+        """(analyzer(theta, n), the sums of its entries' leaf magnitudes): an
+        entry that cancels within those (fock._cancels) is an exact zero, as
+        apply_element drops it."""
+        hit = self._analyzers.get((theta, n))
+        if hit is None:
+            one = self.one_photon(theta)
+            u = _symmetric_power(one, n)
+            scale = _symmetric_power([[abs(c) for c in row] for row in one], n).real
+            u[_cancels(u, scale)] = 0.0
+            hit = self._analyzers[(theta, n)] = (u, scale)
+        return hit
 
     def one_photon(self, theta: float) -> tuple:
         """((<+|H>, <+|V>), (<-|H>, <-|V>)): the branch's own analyzer
@@ -425,9 +435,8 @@ class _Branch:
     def row(self, theta, slots: tuple) -> tuple:
         """(first, second) firing probabilities of one arm for a unit
         amplitude with (h, v) photons in each of its occupied slots, in
-        slot order, and its smallest analyzed amplitude. At HV (theta None)
-        there is no analyzer: the H port is the first and the amplitude is
-        untouched."""
+        slot order. At HV (theta None) there is no analyzer: the H port is
+        the first and the amplitude is untouched."""
         key = (theta, slots)
         hit = self._rows.get(key)
         if hit is None:
@@ -438,7 +447,7 @@ class _Branch:
         n_h = sum(h for h, _ in slots)
         total = n_h + sum(v for _, v in slots)
         if theta is None:
-            return (*_firing(n_h, total - n_h, self.miss), 1.0)
+            return _firing(n_h, total - n_h, self.miss)
         # each slot's analyzed amplitudes {p: amplitude}, exact zeros left out
         columns = [
             {p: a for p, a in enumerate(self.analyzer(theta, h + v)[:, h].tolist()) if a}
@@ -451,8 +460,7 @@ class _Branch:
             f_first, f_second = _firing(plus, total - plus, self.miss)
             first += w * f_first
             second += w * f_second
-        floor = math.prod(min(abs(a) for a in col.values()) for col in columns)
-        return first, second, floor
+        return first, second
 
 
 class _Moved:
@@ -505,8 +513,8 @@ def _members(apparatus: Apparatus, patterns):
     amplitudes. k counts the sources whose member is the coherent one, so
     the weight is gamma_s^k (1 - gamma_s)^(S - k) times the branch weight
     over S sources: (branch, k) is the member's overlap component. A joint
-    amplitude at or below fock.PRUNE_EPS is dropped, as the reference
-    construction's tensor product of the sources' states drops it.
+    amplitude is a product of nonzero amplitudes, which cannot cancel, so
+    every one is kept.
 
     Each source's ensemble is moved through each branch's compiled fusion
     image once per pair count, and every moved term carries the arms its
@@ -568,11 +576,10 @@ def _joint_terms(branch: _Branch, parts: list) -> list:
     width = len(branch.registry)
     out = []
     for _, amp, moves in partials:
-        if abs(amp) > PRUNE_EPS:
-            occ = [0] * width
-            for dest, n in moves:
-                occ[dest] = n
-            out.append((bytes(occ), amp))
+        occ = [0] * width
+        for dest, n in moves:
+            occ[dest] = n
+        out.append((bytes(occ), amp))
     return out
 
 
@@ -592,11 +599,10 @@ def _symmetric_power(one: tuple, n: int) -> np.ndarray:
     the outputs, so column h is the product of the two splits times the
     bosonic factor sqrt(p! (n-p)! / (h! (n-h)!)). The sum is evaluated
     factor for factor as apply_element evaluates it, on Python complex
-    scalars, so the matrix equals the Fock engine's to the last bit; in
-    particular the rounding left at the analyzer's exact interference zeros
-    is the same, and an amplitude at or below fock.PRUNE_EPS is zeroed as
-    apply_element drops it. (numpy's vectorized complex product may fuse
-    its multiply and add, which moves the last bit.)
+    scalars, so the rounding left at the analyzer's exact interference
+    zeros is apply_element's. (numpy's vectorized complex product may fuse
+    its multiply and add, which moves the last bit.) Fed the magnitudes of
+    one, it sums the magnitudes of each entry's leaves instead.
     """
     (plus_h, plus_v), (minus_h, minus_v) = one
     fact = [math.factorial(i) for i in range(n + 1)]
@@ -611,9 +617,7 @@ def _symmetric_power(one: tuple, n: int) -> np.ndarray:
                 for p_v, c in enumerate(second):
                     column[p_h + p_v] += a * c
         for p, a in enumerate(column):
-            a *= math.sqrt(fact[p] * fact[n - p])
-            if abs(a) > PRUNE_EPS:
-                u[p, h] = a
+            u[p, h] = a * math.sqrt(fact[p] * fact[n - p])
     return u
 
 
@@ -659,15 +663,18 @@ _PROFILE_BLOCK = 64
 
 class _PatternSum:
     """A run plan's accepted-pattern vectors, one per setting, summed over
-    one stream of members.
+    one stream of (weight, supported, branch, k) members from _members,
+    which hold only the terms with a photon in every arm.
 
-    At HV every supported term is a class of its own, and add sums it
-    into a key (branch, occupation, |amplitude|) holding its summed
-    weight. For the rotated settings add splits each member's supported
-    terms into coherence classes once, as they do not depend on the
-    angles: a single-term class is summed into a key of the same form, and
-    a multi-term class is kept whole. Neither key set depends on which
-    settings the plan holds, so neither does any setting's vector.
+    The supported terms are grouped into coherence classes, the terms an
+    analyzer can mix: at HV each term alone, and add sums it into a key
+    (branch, occupation, |amplitude|) holding its summed weight; at a
+    rotated setting the terms with equal photon numbers per (arm, tag)
+    slot. Those do not depend on the angles, so add splits each member
+    once for the whole plan: a single-term class is summed into a key of
+    the same form, and a multi-term class is kept whole. Neither key set
+    depends on which settings the plan holds, so neither does any
+    setting's vector.
 
     The rotated side keeps one sum per overlap component (branch, k) of
     the members (_members): a key holds one summed weight per component,
@@ -682,27 +689,27 @@ class _PatternSum:
 
     vectors() reduces the whole plan at once. A key's firing profile under
     a setting is the product of its arms' rows (_Branch.row), gathered as
-    one array over the settings. Where all of a key's analyzed amplitudes
-    stay above fock.PRUNE_EPS, the key adds weight * |amplitude|^2 times
-    its profile; the profiles are expanded a block of keys at a time, and
-    on the rotated side contracted with the weights of every component at
-    once. A multi-term class, and a key below that floor at some setting,
-    is contracted with the analyzers once (_contract), with the rotated
-    settings as a leading axis, and the key's contraction counts only at
-    the settings where it is below the floor. At HV there is no analyzer:
-    the H port is the first, and the floor is the amplitude itself, above
-    fock.PRUNE_EPS for every member term.
+    one array over the settings, and the key adds weight * |amplitude|^2
+    times its profile, whatever its scale: a single term meets no sum but
+    the analyzers' own, whose exact zeros the rows leave out. The
+    profiles are expanded a block of keys at a time, and on the rotated
+    side contracted with the weights of every component at once. A
+    multi-term class is contracted with the analyzers once (_contract),
+    with the rotated settings as a leading axis. At HV there is no
+    analyzer: the H port is the first.
     """
 
-    def __init__(self, n_arms: int, settings):
+    def __init__(self, n_arms: int, settings, members):
         self.n_arms = n_arms
-        self.settings = settings
+        self.settings = settings = list(settings)
         self.rotated = [s.angles for s in settings if s.angles is not None]
         self.hv = len(self.rotated) < len(settings)
         self.terms: dict = {}
         self.singles: dict = {}
         self.classes: list = []
         self._stacks: dict = {}
+        for member in members:
+            self.add(*member)
 
     def add(self, weight: float, supported, branch: _Branch, k: int) -> None:
         if self.hv:
@@ -728,7 +735,9 @@ class _PatternSum:
             _, components = self.components()
             rotated = iter(components.sum(axis=1))
         if self.hv:
-            keys, _, weights = _keyed(self.terms)
+            keys = list(self.terms)
+            amps = np.array([amp for _, _, amp in keys])
+            weights = np.fromiter(self.terms.values(), float, len(keys)) * amps**2
             rows = self._rows(keys, [(None,) * self.n_arms])
             hv = _expand(rows, weights[None], np.zeros((1, 2**self.n_arms)))[0]
         return [hv if s.angles is None else next(rotated) for s in self.settings]
@@ -749,28 +758,17 @@ class _PatternSum:
         for c, tally in self.singles.items():
             sums[column[c], [index[key] for key in tally]] = list(tally.values())
         amps = np.array([amp for _, _, amp in keys])
-        rows = self._rows(keys, self.rotated)
-        # the floor guard multiplies |amplitude| first, then arm by arm
-        floor = amps
-        for a in range(self.n_arms):
-            floor = floor * rows[:, :, a, 2]
-        passed = floor > PRUNE_EPS
         vectors = np.zeros((len(self.rotated), len(labels), 2**self.n_arms))
         for c, weight, terms in self.classes:
             vectors[:, column[c]] += weight * self._contract(c[0], terms)
-        for e in np.flatnonzero(~passed.all(axis=0)):
-            branch, occ, amp = keys[e]
-            below = ~passed[:, e]
-            vector = self._contract(branch, [(occ, amp)])[below]
-            vectors[below] += sums[:, e, None] * vector[:, None]
-        weights = np.where(passed[:, None], sums * amps**2, 0.0)
-        return labels, _expand(rows, weights, vectors)
+        rows = self._rows(keys, self.rotated)
+        return labels, _expand(rows, (sums * amps**2)[None], vectors)
 
     def _rows(self, keys, angle_rows) -> np.ndarray:
-        """(settings, keys, arms, 3): each key's arm rows, (first, second,
-        floor), under each setting's per-arm angles; read from one table
-        over the distinct (branch, arm's slice of the occupation) pairs and
-        the distinct angles of the plan."""
+        """(settings, keys, arms, 2): each key's arm rows, (first, second),
+        under each setting's per-arm angles; read from one table over the
+        distinct (branch, arm's slice of the occupation) pairs and the
+        distinct angles of the plan."""
         pairs: dict = {}
         index = [
             [
@@ -787,19 +785,19 @@ class _PatternSum:
         ]
         table = np.array(
             [[branch.row(t, slots) for t in thetas] for branch, slots in occupied]
-        ).reshape(len(pairs), len(thetas), 3)
+        ).reshape(len(pairs), len(thetas), 2)
         index = np.array(index, dtype=np.intp).reshape(len(keys), self.n_arms)
         return table[index[None], np.array(angle_index)[:, None]]
 
-    def _stack(self, branch: _Branch, arm: int, n: int) -> np.ndarray:
+    def _stack(self, branch: _Branch, arm: int, n: int) -> tuple:
         """The analyzer matrices of arm's n-photon slots under each rotated
-        setting, shape (rotated settings, n + 1, n + 1)."""
+        setting, shape (rotated settings, n + 1, n + 1), and the sums of
+        their entries' leaf magnitudes, of the same shape."""
         key = (branch, arm, n)
         hit = self._stacks.get(key)
         if hit is None:
-            hit = self._stacks[key] = np.array(
-                [branch.analyzer(angles[arm], n) for angles in self.rotated]
-            )
+            u, scale = zip(*(branch.analyzed(angles[arm], n) for angles in self.rotated))
+            hit = self._stacks[key] = np.array(u), np.array(scale)
         return hit
 
     def _contract(self, branch: _Branch, terms) -> np.ndarray:
@@ -807,9 +805,11 @@ class _PatternSum:
         their photon numbers per slot, under every rotated setting:
         shape (rotated settings, 2^n).
 
-        The analyzers act slot by slot in element order, and analyzed
-        amplitudes at or below fock.PRUNE_EPS are dropped after each, as
-        apply_element drops them.
+        The analyzers act slot by slot in element order. A slot's analyzer
+        sums the terms that differ only in that slot's H count (the
+        merge); the sums of their leaves' magnitudes run alongside, and a
+        merged amplitude that cancels within their rounding (fock._cancels)
+        is an exact zero, as apply_element drops it.
         """
         first = terms[0][0]
         # (arm, H mode, photon number) of each occupied slot, in mode order
@@ -825,22 +825,26 @@ class _PatternSum:
         rests = [tuple(occ[t] for _, t, _ in slots) for occ, _ in terms]
         amps = np.array([[amp for _, amp in terms]], dtype=complex)
         for a, _, n in slots:
+            u, scale = self._stack(branch, a, n)
             # each column's analyzer column, gathered, its outputs on a new
             # axis after the column axis
-            u = self._stack(branch, a, n)[:, :, [rest[0] for rest in rests]]
-            u = u.transpose(0, 2, 1).reshape(
-                (n_settings, len(rests), n + 1) + (1,) * (amps.ndim - 2)
-            )
-            amps = amps[:, :, None] * u
+            h = [rest[0] for rest in rests]
+            shape = (n_settings, len(rests), n + 1) + (1,) * (amps.ndim - 2)
+            before = amps[:, :, None]
+            amps = before * u[:, :, h].transpose(0, 2, 1).reshape(shape)
             merged = dict.fromkeys(rest[1:] for rest in rests)
             if len(merged) < len(rests):
                 column = {rest: c for c, rest in enumerate(merged)}
+                leaves = np.abs(before) * scale[:, :, h].transpose(0, 2, 1).reshape(shape)
                 out = np.zeros((n_settings, len(merged)) + amps.shape[2:], dtype=complex)
+                # the merged amplitudes and their leaves' summed magnitudes
+                size = np.zeros(out.shape)
                 for j, rest in enumerate(rests):
                     out[:, column[rest[1:]]] += amps[:, j]
+                    size[:, column[rest[1:]]] += leaves[:, j]
+                out[_cancels(out, size)] = 0.0
                 amps = out
             rests = list(merged)
-            amps[np.abs(amps) <= PRUNE_EPS] = 0.0
         # arms last to first on the axes; each arm's firing pair goes last,
         # so the first arm varies fastest in the end
         prob = np.abs(amps[:, 0]) ** 2
@@ -859,24 +863,17 @@ def _tally(sums: dict, branch: _Branch, weight: float, terms) -> None:
         sums[key] = sums.get(key, 0.0) + weight
 
 
-def _keyed(sums: dict) -> tuple:
-    """The keys of a _tally, their |amplitude|s and weight * |amplitude|^2."""
-    keys = list(sums)
-    amps = np.array([amp for _, _, amp in keys])
-    return keys, amps, np.fromiter(sums.values(), float, len(keys)) * amps**2
-
-
 def _expand(rows: np.ndarray, weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """vectors plus the weighted sum of the keys' profiles, expanded into
     pattern vectors with the first arm varying fastest, in place. rows is
-    (settings, keys, arms, 2 or more); weights is (settings, keys), folded
-    into each profile product from the start, or (settings, components,
-    keys), contracted with the finished profiles into vectors of shape
-    (settings, components, 2^n). A block of keys at a time keeps the
-    expanded rows small."""
+    (settings, keys, arms, 2); weights is (settings, keys), folded into
+    each profile product from the start, or (1, components, keys), the
+    same at every setting, contracted with the finished profiles into
+    vectors of shape (settings, components, 2^n). A block of keys at a
+    time keeps the expanded rows small."""
     n_settings, n_keys, n_arms, _ = rows.shape
     for start in range(0, n_keys, _PROFILE_BLOCK):
-        block = rows[:, start : start + _PROFILE_BLOCK, :, :2]
+        block = rows[:, start : start + _PROFILE_BLOCK]
         w = weights[..., start : start + _PROFILE_BLOCK]
         prob = w[..., None] if w.ndim == 2 else np.ones(block.shape[:2] + (1,))
         for a in reversed(range(n_arms)):
@@ -887,34 +884,15 @@ def _expand(rows: np.ndarray, weights: np.ndarray, vectors: np.ndarray) -> np.nd
     return vectors
 
 
-def _pattern_sum(apparatus: Apparatus, members, settings) -> _PatternSum:
-    """One _PatternSum for settings, filled from one stream of (weight,
-    supported, branch, k) members from _members, which hold only the terms
-    with a photon in every arm.
-
-    The supported terms are grouped into coherence classes, the terms an
-    analyzer can mix: at a rotated setting the terms with equal photon
-    numbers per (arm, tag) slot, at HV each term alone. Neither the terms
-    nor the classes depend on the angles, so each member is split once
-    into one _PatternSum for the whole plan, which then reduces every
-    setting together: per-arm rows and class contractions carry the
-    settings as an array axis instead of being recomputed per setting.
-    """
-    plan = _PatternSum(apparatus.n_arms, list(settings))
-    for weight, supported, branch, k in members:
-        plan.add(weight, supported, branch, k)
-    return plan
-
-
 def _pattern_vectors(apparatus: Apparatus, members, settings) -> list:
     """Per-pulse probabilities of the 2^n accepted patterns under each
-    setting, summed over one stream of members (_pattern_sum).
+    setting, summed over one stream of members (_PatternSum).
 
     The vectors are indexed with the first arm varying fastest, the
     reverse of the order all_detection_patterns labels. This is a known
     defect kept so that recorded benchmark distributions still match.
     """
-    return _pattern_sum(apparatus, members, settings).vectors()
+    return _PatternSum(apparatus.n_arms, settings, members).vectors()
 
 
 def absolute_outcome_distributions(apparatus: Apparatus, settings) -> list:
@@ -1103,7 +1081,7 @@ def _overlap_distributions(
     there and here. An overlap that changes must lie strictly inside
     (0, 1) here, where every component has weight.
     """
-    plan = _pattern_sum(apparatus, _all_members(apparatus), [setting])
+    plan = _PatternSum(apparatus.n_arms, [setting], _all_members(apparatus))
     labels, components = plan.components()
     here = np.array([_overlap_factor(apparatus, c) for c in labels])
     out = []

@@ -3,7 +3,8 @@
 States are dictionaries mapping occupation tuples to complex amplitudes.
 Everything here is exact up to float arithmetic: no sampling, no cutoff
 tricks beyond an explicit total-photon-number truncation that callers set
-when they build a state.
+when they build a state. Only exact zeros are dropped: sums that cancel
+within the rounding of their summands (_cancels), and zero products.
 """
 
 from __future__ import annotations
@@ -12,8 +13,18 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-PRUNE_EPS = 1e-15
 NORM_TOL = 1e-12
+
+# c * u: a float's unit roundoff u = 2^-53 times c = 2^10, which bounds
+# the summed terms and the rounding steps behind each
+_ROUNDING = 2.0**-43
+
+
+def _cancels(total, scale):
+    """Whether a sum total, of amplitudes whose magnitudes add up to scale,
+    is an exact zero: |total| <= c * u * scale. Scale-free, and elementwise
+    on numpy arrays. A product of nonzero amplitudes never cancels."""
+    return abs(total) <= _ROUNDING * scale
 
 
 class ModeLabel(NamedTuple):
@@ -70,7 +81,7 @@ class AmplitudeState:
 
     terms maps occupation tuples (one int per registry mode) to complex
     amplitudes. States are value objects: every operation returns a new
-    instance. Amplitudes below PRUNE_EPS in magnitude are dropped.
+    instance. Exact zeros are dropped.
 
     truncation_order caps the total photon number. This is how the
     perturbative pair-source expansion is kept finite.
@@ -116,8 +127,6 @@ class AmplitudeState:
     # ---- Algebra ----
 
     def scaled(self, c: complex) -> "AmplitudeState":
-        if c == 0:
-            return AmplitudeState(self.registry, {}, self.truncation_order)
         return AmplitudeState(
             self.registry,
             _pruned({occ: c * a for occ, a in self.terms.items()}),
@@ -128,8 +137,9 @@ class AmplitudeState:
         if self.registry != other.registry:
             raise ValueError("cannot add states over different registries")
         out = dict(self.terms)
-        for occ, a in other.terms.items():
-            out[occ] = out.get(occ, 0j) + a
+        for occ, b in other.terms.items():
+            a = out.get(occ, 0j)
+            out[occ] = 0j if _cancels(a + b, abs(a) + abs(b)) else a + b
         return AmplitudeState(
             self.registry, _pruned(out), min(self.truncation_order, other.truncation_order)
         )
@@ -156,4 +166,4 @@ class AmplitudeState:
 
 
 def _pruned(terms: dict) -> dict:
-    return {occ: a for occ, a in terms.items() if abs(a) > PRUNE_EPS}
+    return {occ: a for occ, a in terms.items() if a}

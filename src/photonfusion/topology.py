@@ -162,7 +162,9 @@ def pattern_admits_coincidence(topology: FusionTopology, pattern) -> bool:
     splitter passes H and exchanges the two arms' V counts. The pattern
     survives post-selection if some split leaves every arm occupied;
     losses and bucket detection only hide surplus photons, so they never
-    rescue an empty arm.
+    rescue an empty arm. Whether an arm is occupied depends only on
+    whether each source's split is all-H, all-V or mixed, so the splits
+    h = 0, 1 and n stand for all of them.
     """
     counts = (
         pattern.pairs_per_source
@@ -172,7 +174,7 @@ def pattern_admits_coincidence(topology: FusionTopology, pattern) -> bool:
     if len(counts) != topology.n_sources:
         raise ValueError("pattern length does not match the source count")
     arms = topology.arms
-    for split in itertools.product(*(range(n + 1) for n in counts)):
+    for split in itertools.product(*({0, min(1, n), n} for n in counts)):
         n_h: dict = {}
         n_v: dict = {}
         for (arm_a, arm_b), n, h in zip(topology.sources, counts, split):
@@ -189,7 +191,7 @@ def admitted_patterns(topology: FusionTopology, order: int) -> list:
     """Pair counts per source, totalling order, that pass the filter.
 
     Fewer total pairs than sources cannot occupy every arm, giving an
-    empty list. Counts come out in itertools.product order, first source
+    empty list. Counts come out in lexicographic order, first source
     slowest.
     """
     k = topology.n_sources
@@ -197,9 +199,16 @@ def admitted_patterns(topology: FusionTopology, order: int) -> list:
         return []
     return [
         counts
-        for counts in itertools.product(range(order + 1), repeat=k)
-        if sum(counts) == order and pattern_admits_coincidence(topology, counts)
+        for counts in _compositions(order, k)
+        if pattern_admits_coincidence(topology, counts)
     ]
+
+
+def _compositions(n: int, k: int):
+    """The k-tuples of non-negative integers summing to n, in lexicographic
+    order: the gaps between k - 1 bars placed among n + k - 1 slots."""
+    for bars in itertools.combinations(range(n + k - 1), k - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, n + k - 1)))
 
 
 def enumerate_error_terms(topology: FusionTopology, order: int):

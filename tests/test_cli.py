@@ -348,13 +348,18 @@ def round_trip_configs(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(data=round_trip_configs())
-def test_every_valid_config_round_trips(data):
+@given(data=round_trip_configs(), exact_p=st.floats(-12.0, math.log10(0.3)))
+def test_every_valid_config_round_trips(data, exact_p):
+    # the exact run takes any validated pair probability, drawn
+    # log-uniformly down to 1e-12; the sampled run keeps a bright one, as
+    # a dim run records no events
+    exact = json.loads(json.dumps(data))
+    exact["sources"]["pair_probability"] = 10.0**exact_p
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(data))
-        for flags in ([], ["--exact"]):
-            out = str(Path(tmp) / f"out{len(flags)}")
+        for name, config, flags in (("sampled", data, []), ("exact", exact, ["--exact"])):
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(config))
+            out = str(Path(tmp) / name)
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["simulate", "--config", str(path), "--out", out, *flags]) == 0
                 assert main(["analyze", out, "--config", str(path)]) == 0

@@ -992,8 +992,10 @@ def test_ideal_star_interference_zeros_match_oracle(ideal_star, k):
 
 
 @pytest.mark.parametrize("p", [4e-15, 2e-14, 1e-13])
-def test_amplitude_floor_matches_oracle(p):
-    # two-pair amplitudes p/2 straddle fock.PRUNE_EPS once analyzed
+def test_small_pair_probability_matches_oracle(p):
+    # two-pair amplitudes p/2 of 2e-15 to 5e-14, analyzed down to ~1e-17:
+    # the engine and the oracle decide exact zeros by one scale-free rule
+    # (fock._cancels), so they agree at any brightness
     build = functools.partial(
         assemble_apparatus,
         star_topology(2), pair_probability=p, synthesizer_overlap=0.9,
@@ -1003,11 +1005,45 @@ def test_amplitude_floor_matches_oracle(p):
     run_settings = [k_setting(1, 4), angle_setting([0.3, 1.1, 2.0, 5.0])]
     for setting in run_settings:
         assert_matches_oracle(app, setting)
-    # in one batch the floor is checked per setting
+    # one batch of settings gives the same bits
     batch = absolute_outcome_distributions(build(), run_settings)
     for setting, got in zip(run_settings, batch):
         assert_matches(got, oracle_distribution(app, setting))
         assert got == absolute_outcome_distribution(app, setting)
+
+
+@pytest.mark.parametrize(
+    "sources, gamma_s, gamma_f, xi",
+    [(2, 1.0, 1.0, 1.0), (2, 0.9, 0.8, 0.7), (4, 1.0, 1.0, 1.0)],
+    ids=["star-2-ideal", "star-2-noisy", "star-4-ideal"],
+)
+def test_fixed_order_distribution_scales_as_a_power_of_p(sources, gamma_s, gamma_f, xi):
+    # truncation at the source count admits only order N = sources, one
+    # pair per source, so every probability is (p/2)^N times a constant:
+    # the same scaled values and the same exact zeros for every p
+    n_arms = 2 * sources
+    plan = [
+        hv_setting(),
+        k_setting(1, n_arms),
+        k_setting(3, n_arms),
+        angle_setting([0.3, 1.1, 2.0, 5.0, 0.7, 2.9, 4.4, 6.0][:n_arms]),
+    ]
+
+    def scaled(p):
+        app = assemble_apparatus(
+            star_topology(sources), pair_probability=p, synthesizer_overlap=gamma_s,
+            fusion_overlap=gamma_f, detector_efficiency=xi, truncation_pairs=sources,
+        )
+        return [
+            {pat: v / (p / 2) ** sources for pat, v in dist.items()}
+            for dist in absolute_outcome_distributions(app, plan)
+        ]
+
+    reference = scaled(0.3)
+    assert any(v == 0.0 for dist in reference for v in dist.values())
+    for p in (1e-12, 3e-10, 1e-7, 2e-5, 0.058):
+        for got, expected in zip(scaled(p), reference):
+            assert_matches(got, expected)
 
 
 @pytest.mark.parametrize("marked", [False, True], ids=["interfering", "distinguishable"])

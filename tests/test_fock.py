@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import apply_creation, apply_pair_creation, map_modes, tensor_product, vacuum
+from oracles import (
+    apply_creation,
+    apply_pair_creation,
+    beamsplitter_matrix,
+    map_modes,
+    tensor_product,
+    vacuum,
+)
+from photonfusion.elements import analyzer_matrix, apply_element, element_on
 from photonfusion.fock import AmplitudeState, ModeLabel, ModeRegistry, registry_from
 
 
@@ -145,10 +153,38 @@ def test_scaling_and_addition():
     assert cancel.terms == {}
 
 
-def test_pruning_drops_tiny_amplitudes():
+def test_sum_that_cancels_leaves_no_terms():
+    # s + s.scaled(-1.0) cancels exactly (test_scaling_and_addition); 0.1 +
+    # 0.2 - 0.3 rounds to 5.6e-17, a cancellation within rounding
     reg = two_mode_registry()
-    s = AmplitudeState(reg, {(1, 0): 1.0 + 0j, (0, 1): 1e-16}, 4)
-    assert (1.0 * s).terms == {(1, 0): 1.0 + 0j}
+    a, b, c = (AmplitudeState(reg, {(0, 1): x + 0j}, 4) for x in (0.1, 0.2, -0.3))
+    assert (a + b + c).terms == {}
+    # a near-cancellation far above rounding is kept
+    d = AmplitudeState(reg, {(0, 1): -(1.0 - 1e-9) + 0j}, 4)
+    assert (d + AmplitudeState(reg, {(0, 1): 1.0 + 0j}, 4)).terms[(0, 1)] != 0
+    # a tiny amplitude no sum produced is no zero
+    tiny = AmplitudeState(reg, {(1, 0): 1.0 + 0j, (0, 1): 1e-16 + 0j}, 4)
+    assert (1.0 * tiny).terms == tiny.terms
+
+
+def test_zeros_do_not_depend_on_the_amplitude_scale():
+    # a 50:50 splitter on the H modes, then an analyzer at angle 0 on the
+    # first arm: twelve photons there leave rounding residues at the
+    # analyzer's exact zeros (odd + counts of |6 H, 6 V>, among others)
+    reg = registry_from([ModeLabel(arm, pol) for arm in (1, 2) for pol in ("H", "V")])
+    splitter = element_on(reg, [ModeLabel(1, "H"), ModeLabel(2, "H")], beamsplitter_matrix())
+    analyzer = element_on(reg, [ModeLabel(1, "H"), ModeLabel(1, "V")], analyzer_matrix(0.0))
+    outputs = []
+    for scale in (1.0, 1e-300):
+        terms = {(5, 6, 1, 0): scale * (1.0 + 0.5j), (6, 6, 0, 0): scale * (0.5 + 0j)}
+        state = AmplitudeState(reg, terms, 14)
+        state = apply_element(apply_element(state, splitter), analyzer)
+        outputs.append({occ: a / scale for occ, a in state.terms.items()})
+    unit, tiny = outputs
+    assert unit.keys() == tiny.keys()
+    assert not any((p, 12 - p, 0, 0) in unit for p in range(1, 12, 2))
+    for occ, a in unit.items():
+        assert abs(tiny[occ] - a) <= 1e-12 * abs(a), occ
 
 
 def test_normalize_zero_state_raises():

@@ -14,6 +14,7 @@ from photonfusion.sources import TAG_BROAD, TAG_NARROW, PdcSource
 from photonfusion.topology import (
     EmissionPattern,
     FusionTopology,
+    admitted_patterns,
     chain_topology,
     enumerate_error_terms,
     error_terms_csv_lines,
@@ -151,6 +152,53 @@ def test_enumerator_matches_fock_oracle(make_topo, order):
     kept = {row.pattern.pairs_per_source for row in enumerate_error_terms(topo, order)}
     for counts in all_patterns(topo.n_sources, order):
         assert (counts in kept) == fused_pattern_support(topo, counts), counts
+
+
+def admits_by_every_split(topology, counts) -> bool:
+    """The coincidence filter walking all prod(n + 1) H/V splits."""
+    for split in itertools.product(*(range(n + 1) for n in counts)):
+        n_h: dict = {}
+        n_v: dict = {}
+        for (arm_a, arm_b), n, h in zip(topology.sources, counts, split):
+            n_h[arm_a] = n_h[arm_b] = h
+            n_v[arm_a] = n_v[arm_b] = n - h
+        for x, y in topology.fusion_edges:
+            n_v[x], n_v[y] = n_v[y], n_v[x]
+        if all(n_h[a] + n_v[a] for a in topology.arms):
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "topo, most",
+    [(star_topology(), 6), (chain_topology(3), 6), (star_topology(2), 6)],
+    ids=["star-4", "chain-3", "star-2"],
+)
+def test_filter_matches_every_split_walk(topo, most):
+    # all-H, all-V and one mixed split per source decide every arm
+    for counts in itertools.product(range(most + 1), repeat=topo.n_sources):
+        assert pattern_admits_coincidence(topo, counts) == admits_by_every_split(
+            topo, counts
+        ), counts
+
+
+@pytest.mark.parametrize("make_topo", [star_topology, chain_topology])
+def test_admitted_patterns_in_product_order(make_topo):
+    topo = make_topo()
+    for order in range(9):
+        expected = [
+            counts
+            for counts in all_patterns(topo.n_sources, order)
+            if admits_by_every_split(topo, counts)
+        ]
+        assert admitted_patterns(topo, order) == expected
+
+
+def test_star_order_40_rows():
+    # 12,341 compositions, each checked with at most 3^4 splits
+    rows = enumerate_error_terms(star_topology(), 40)
+    assert len(rows) == 9139
+    assert all(row.pattern.order == 40 and row.erroneous for row in rows)
 
 
 # ---- Enumeration results ----
