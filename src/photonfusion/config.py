@@ -41,6 +41,9 @@ SETTING_LABELS = ("HV",) + tuple(f"k{k}" for k in range(8))
 DEFAULT_DURATIONS = {"HV": 40.0, "k0": 25.0}
 DEFAULT_DURATIONS.update({f"k{k}": 15.0 for k in range(1, 8)})
 
+# the engine packs a mode's photon count, at most truncation_pairs, in a byte
+MAX_TRUNCATION = 255
+
 
 class ConfigError(ValueError):
     """Validation failure carrying the full list of offending entries."""
@@ -52,7 +55,7 @@ class ConfigError(ValueError):
 
 def _ranged(default, *bounds):
     """A numeric field with its default and its bounds: (lo, hi) for a
-    float (hi None for no upper bound), (lo,) for an int."""
+    float (hi None for no upper bound), (lo,) or (lo, hi) for an int."""
     return field(default=default, metadata={"range": bounds})
 
 
@@ -61,7 +64,7 @@ class SourceSettings:
     pair_probability: float = _ranged(0.058, 0.0, 1.0)
     synthesizer_overlap: float = _ranged(0.94, 0.0, 1.0)
     fusion_overlap: float = _ranged(0.76, 0.0, 1.0)
-    truncation_pairs: int = _ranged(4, 1)
+    truncation_pairs: int = _ranged(4, 1, MAX_TRUNCATION)
     count: int = _ranged(4, 1)
 
 
@@ -158,7 +161,7 @@ def _number(data, key, where, problems, default, lo, hi):
     return value
 
 
-def _integer(data, key, where, problems, default, lo):
+def _integer(data, key, where, problems, default, lo, hi=None):
     if key not in data:
         return default
     value = data[key]
@@ -167,6 +170,9 @@ def _integer(data, key, where, problems, default, lo):
         return default
     if value < lo:
         problems.append(f"{where}.{key}={value} below {lo}")
+        return default
+    if hi is not None and value > hi:
+        problems.append(f"{where}.{key}={value} above {hi}")
         return default
     return value
 
@@ -266,6 +272,20 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         problems.append("detection.efficiency must be positive")
     if detection.repetition_rate_hz == 0.0:
         problems.append("detection.repetition_rate_hz must be positive")
+    p, xi = sources.pair_probability, detection.efficiency
+    if witness and p > 0.0 and xi > 0.0:
+        # the leading order, one pair per source, accepts (p/2)^S xi^(2S) per
+        # pulse; each of the 2S arms' analyzers splits that over two outcomes,
+        # so the margin 4^S keeps every leading pattern a normal float
+        s = sources.count
+        log_lead = s * math.log(p / 2) + 2 * s * math.log(xi)
+        if log_lead < math.log(sys.float_info.min) + s * math.log(4):
+            problems.append(
+                f"sources.pair_probability={p} with detection.efficiency={xi}: the "
+                f"leading accepted probability (p/2)^{s} xi^{2 * s} = "
+                f"1e{log_lead / math.log(10):.0f} underflows float64 "
+                f"(below 4^{s} times {sys.float_info.min:.3g})"
+            )
 
     run_d = _take(top.get("run", {}), "run", RunPlanSettings, problems)
     labels = run_d.get("settings", witness or SETTING_LABELS)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ExperimentConfig, config_topology
+from .config import MAX_TRUNCATION, ExperimentConfig, config_topology
 from .elements import (
     UNITARITY_TOL,
     analyzer_matrix,
@@ -136,8 +136,10 @@ class Apparatus:
             raise ValueError("detector_efficiency must lie in (0, 1]")
         if self.repetition_rate_hz <= 0:
             raise ValueError("repetition rate must be positive")
-        if self.truncation_pairs < 1:
-            raise ValueError("truncation_pairs must be at least 1")
+        if not 1 <= self.truncation_pairs <= MAX_TRUNCATION:
+            # a mode holds at most truncation_pairs photons, in one byte of
+            # a packed occupation (_Moved)
+            raise ValueError(f"truncation_pairs must lie in 1..{MAX_TRUNCATION}")
         self.sources  # PdcSource checks the pair probability and overlap
 
     @functools.cached_property
@@ -370,7 +372,9 @@ class _Branch:
         self.arms = apparatus.output_arms
         self.tags = _tags(registry)
         self.width = 2 * len(self.tags)
-        self.miss = 1.0 - apparatus.detector_efficiency
+        # the log of the probability that a detector misses one photon
+        xi = apparatus.detector_efficiency
+        self.log_miss = math.log1p(-xi) if xi < 1.0 else -math.inf
         self._weights: dict = {}
         self._one_photon: dict = {}
         self._analyzers: dict = {}
@@ -388,7 +392,7 @@ class _Branch:
             total = sum(ns)
             hit = self._weights[ns] = np.array(
                 [
-                    _firing(sum(ps), total - sum(ps), self.miss)
+                    _firing(sum(ps), total - sum(ps), self.log_miss)
                     for ps in itertools.product(*(range(n + 1) for n in ns))
                 ]
             )
@@ -447,7 +451,7 @@ class _Branch:
         n_h = sum(h for h, _ in slots)
         total = n_h + sum(v for _, v in slots)
         if theta is None:
-            return _firing(n_h, total - n_h, self.miss)
+            return _firing(n_h, total - n_h, self.log_miss)
         # each slot's analyzed amplitudes {p: amplitude}, exact zeros left out
         columns = [
             {p: a for p, a in enumerate(self.analyzer(theta, h + v)[:, h].tolist()) if a}
@@ -457,7 +461,7 @@ class _Branch:
         for outs in itertools.product(*(col.items() for col in columns)):
             plus = sum(p for p, _ in outs)
             w = abs(math.prod(a for _, a in outs)) ** 2
-            f_first, f_second = _firing(plus, total - plus, self.miss)
+            f_first, f_second = _firing(plus, total - plus, self.log_miss)
             first += w * f_first
             second += w * f_second
         return first, second
@@ -465,10 +469,14 @@ class _Branch:
 
 class _Moved:
     """One ensemble member's terms after one branch's fusion optics, as
-    (((branch mode, count), ...), amplitude, arm mask): the mask has bit a
-    set when a photon of the term leaves on output arm a. reach is the
-    union of the masks, and covering(need) the terms whose mask holds
-    every arm of need, memoized per need."""
+    (packed occupation, amplitude, arm mask). The packed occupation holds
+    the term's count on branch mode j in bits 8j to 8j + 7, so
+    packed.to_bytes(modes, "little") is the occupation as bytes
+    (Apparatus refuses truncations past 255 pairs, which would carry into
+    the next mode). The mask has bit a set when a photon of the term
+    leaves on output arm a. reach is the union of the masks, and
+    covering(need) the terms whose mask holds every arm of need,
+    memoized per need."""
 
     __slots__ = ("terms", "reach", "_covering")
 
@@ -480,15 +488,15 @@ class _Moved:
         self.terms = []
         self.reach = 0
         for h in hs:
-            moves = []
+            packed = 0
             mask = 0
             term = amp
             for (dest, phase), count in zip(image, (h, n - h, h, n - h)):
                 if count:
-                    moves.append((dest, count))
+                    packed |= count << 8 * dest
                     mask |= 1 << dest // width
                     term *= phase**count
-            self.terms.append((tuple(moves), term, mask))
+            self.terms.append((packed, term, mask))
             self.reach |= mask
         self._covering = {0: self.terms}
 
@@ -560,27 +568,27 @@ def _members(apparatus: Apparatus, patterns):
 
 def _joint_terms(branch: _Branch, parts: list) -> list:
     """(occupation bytes, amplitude) of the product of parts' terms with a
-    photon in every arm, in product order."""
+    photon in every arm, in product order, amplitudes multiplied in part
+    order. Every branch mode is reached from one source's mode alone (the
+    fusion map is a permutation), so a joint occupation is the sum of its
+    parts' packed occupations. When the parts together cannot reach every
+    arm, there is no such term."""
     full = (1 << len(branch.arms)) - 1
     # rest[k]: the arms the parts after k can reach
     rest = [0] * len(parts)
     for k in range(len(parts) - 1, 0, -1):
         rest[k - 1] = rest[k] | parts[k].reach
-    partials = [(0, 1.0, ())]
+    if rest[0] | parts[0].reach != full:
+        return []
+    partials = [(0, 1.0, 0)]
     for part, later in zip(parts, rest):
         partials = [
-            (covered | mask, amp * a, moves + m)
-            for covered, amp, moves in partials
-            for m, a, mask in part.covering(full & ~(covered | later))
+            (covered | mask, amp * a, packed + p)
+            for covered, amp, packed in partials
+            for p, a, mask in part.covering(full & ~(covered | later))
         ]
     width = len(branch.registry)
-    out = []
-    for _, amp, moves in partials:
-        occ = [0] * width
-        for dest, n in moves:
-            occ[dest] = n
-        out.append((bytes(occ), amp))
-    return out
+    return [(packed.to_bytes(width, "little"), amp) for _, amp, packed in partials]
 
 
 # ---- Detection ----
@@ -649,13 +657,25 @@ def _analyzer_elements(registry, output_arms, setting: MeasurementSetting):
     )
 
 
-def _firing(n_first: int, n_second: int, miss: float) -> tuple:
+def _firing(n_first: int, n_second: int, log_miss: float) -> tuple:
     """Probabilities that only the first, or only the second, of an arm's
     two detectors fires with n_first and n_second photons at them; each
-    photon is missed independently with probability miss."""
-    silent_first = miss**n_first
-    silent_second = miss**n_second
-    return (1.0 - silent_first) * silent_second, (1.0 - silent_second) * silent_first
+    photon is missed independently, log_miss the log of that probability
+    (-inf at unit efficiency). A port with n photons fires with
+    1 - (1 - efficiency)^n, read as -expm1(n log_miss) so that it keeps
+    its precision at any efficiency: 1 - efficiency rounds to 1 below
+    about 1.1e-16."""
+    fire_first, silent_first = _port(n_first, log_miss)
+    fire_second, silent_second = _port(n_second, log_miss)
+    return fire_first * silent_second, fire_second * silent_first
+
+
+def _port(n: int, log_miss: float) -> tuple:
+    """(fires, stays silent) for one detector with n photons at it."""
+    if not n:
+        return 0.0, 1.0
+    x = n * log_miss
+    return -math.expm1(x), math.exp(x)
 
 
 _PROFILE_BLOCK = 64

@@ -8,6 +8,7 @@ what entanglement graph the wiring builds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -88,6 +89,19 @@ class FusionTopology:
     def arms(self) -> tuple:
         return tuple(arm for pair in self.sources for arm in pair)
 
+    @functools.cached_property
+    def _arm_masks(self) -> tuple:
+        """Per source, the arms its H photons and its V photons leave on,
+        as bit masks over arms: bit i is the arm arms[i]. H passes every
+        splitter; V follows the splitters' swaps in beam-path order."""
+        bit = {arm: 1 << i for i, arm in enumerate(self.arms)}
+        v_out = {arm: arm for arm in self.arms}  # where the V from each arm is
+        for x, y in self.fusion_edges:
+            v_out = {a: y if at == x else x if at == y else at for a, at in v_out.items()}
+        return tuple(
+            (bit[a] | bit[b], bit[v_out[a]] | bit[v_out[b]]) for a, b in self.sources
+        )
+
 
 def star_topology(n_sources: int = 4) -> FusionTopology:
     """Hub layout: narrowband arms fuse pairwise, then the hubs fuse.
@@ -159,12 +173,16 @@ def pattern_admits_coincidence(topology: FusionTopology, pattern) -> bool:
 
     A source's n pairs split into h all-horizontal and n - h all-vertical
     pairs, loading both of its arms with h H-photons and v V-photons. A
-    splitter passes H and exchanges the two arms' V counts. The pattern
-    survives post-selection if some split leaves every arm occupied;
-    losses and bucket detection only hide surplus photons, so they never
-    rescue an empty arm. Whether an arm is occupied depends only on
-    whether each source's split is all-H, all-V or mixed, so the splits
-    h = 0, 1 and n stand for all of them.
+    splitter passes H and exchanges the two arms' V photons, so a source's
+    H photons stay on its own arms and its V photons end on the arms the
+    composed splitter swaps take them to (FusionTopology._arm_masks). The
+    pattern survives post-selection if some split leaves every arm
+    occupied; losses and bucket detection only hide surplus photons, so
+    they never rescue an empty arm. A source with two or more pairs can
+    split mixed and load both its H and its V arms, which covers whatever
+    an all-H or all-V split covers; a source with one pair loads either;
+    a silent source loads nothing. So at most 2^S unions of arm masks
+    decide it over S sources.
     """
     counts = (
         pattern.pairs_per_source
@@ -173,18 +191,15 @@ def pattern_admits_coincidence(topology: FusionTopology, pattern) -> bool:
     )
     if len(counts) != topology.n_sources:
         raise ValueError("pattern length does not match the source count")
-    arms = topology.arms
-    for split in itertools.product(*({0, min(1, n), n} for n in counts)):
-        n_h: dict = {}
-        n_v: dict = {}
-        for (arm_a, arm_b), n, h in zip(topology.sources, counts, split):
-            n_h[arm_a] = n_h[arm_b] = h
-            n_v[arm_a] = n_v[arm_b] = n - h
-        for x, y in topology.fusion_edges:
-            n_v[x], n_v[y] = n_v[y], n_v[x]
-        if all(n_h[a] + n_v[a] for a in arms):
-            return True
-    return False
+    loaded = 0
+    choices = [0]
+    for (h_mask, v_mask), n in zip(topology._arm_masks, counts):
+        if n >= 2:
+            loaded |= h_mask | v_mask
+        elif n == 1:
+            choices = [c | m for c in choices for m in (h_mask, v_mask)]
+    full = (1 << len(topology.arms)) - 1
+    return any(loaded | c == full for c in choices)
 
 
 def admitted_patterns(topology: FusionTopology, order: int) -> list:

@@ -20,7 +20,10 @@ rebuild the same physics another way so the two can be compared:
 - the element-by-element detection engine: every member state pushed
   through the fusion, compensator and analyzer elements with
   ``apply_element`` and reduced term by term, which the compiled fusion
-  map and per-arm detection of ``experiment`` must reproduce.
+  map and per-arm detection of ``experiment`` must reproduce;
+- the coincidence filter as a walk over H/V splits, photon counts per
+  arm swapped splitter by splitter, which the arm-mask filter
+  ``topology.pattern_admits_coincidence`` must agree with.
 """
 
 from __future__ import annotations
@@ -461,14 +464,20 @@ def detection_vector(state, weight, groups, xi, vector) -> None:
             (sum(occ[i] for i in h), sum(occ[i] for i in v)) for h, v in groups
         )
         profiles[prof] = profiles.get(prof, 0.0) + abs(amp) ** 2
-    miss = 1.0 - xi
+    # 1 - (1 - xi)^n as -expm1(n log1p(-xi)): 1 - xi rounds to 1 for a tiny xi
+    log_miss = math.log1p(-xi) if xi < 1.0 else -math.inf
+
+    def fires(n):
+        return -math.expm1(n * log_miss) if n else 0.0
+
+    def silent(n):
+        return math.exp(n * log_miss) if n else 1.0
+
     for prof, w in profiles.items():
         vec = np.array([weight * w])
         for n_first, n_second in prof:
-            silent_first = miss**n_first
-            silent_second = miss**n_second
-            f_first = (1.0 - silent_first) * silent_second
-            f_second = (1.0 - silent_second) * silent_first
+            f_first = fires(n_first) * silent(n_second)
+            f_second = fires(n_second) * silent(n_first)
             vec = np.concatenate([vec * f_first, vec * f_second])
         vector += vec
 
@@ -511,3 +520,28 @@ def pattern_probability(apparatus, counts) -> float:
     """Reference for experiment.emission_pattern_probability."""
     members = members_for_pattern(apparatus, tuple(counts))
     return float(pattern_vector(apparatus, members, hv_setting()).sum())
+
+
+# ---- The coincidence filter by H/V splits ----
+
+
+def admits_by_splits(topology, counts, every: bool = False) -> bool:
+    """Whether some split of each source's n pairs into h all-H and n - h
+    all-V pairs leaves every arm occupied. Each arm's H and V counts are
+    tracked through the splitters in beam-path order: a splitter passes H
+    and exchanges the two arms' V counts. Tries every h in 0..n when
+    every is set, else h = 0, 1 and n: whether an arm is occupied depends
+    only on whether each split is all-H, all-V or mixed, so those three
+    stand for all of them."""
+    splits = [range(n + 1) if every else {0, min(1, n), n} for n in counts]
+    for split in itertools.product(*splits):
+        n_h: dict = {}
+        n_v: dict = {}
+        for (arm_a, arm_b), n, h in zip(topology.sources, counts, split):
+            n_h[arm_a] = n_h[arm_b] = h
+            n_v[arm_a] = n_v[arm_b] = n - h
+        for x, y in topology.fusion_edges:
+            n_v[x], n_v[y] = n_v[y], n_v[x]
+        if all(n_h[a] + n_v[a] for a in topology.arms):
+            return True
+    return False

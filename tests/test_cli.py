@@ -261,6 +261,25 @@ def test_simulate_unreachable_coincidence_is_config_error(tmp_path, capsys):
     assert "no accepted coincidences" in capsys.readouterr().err
 
 
+def test_exact_round_trip_on_both_sides_of_the_underflow_bound(tmp_path, capsys):
+    # the default star's leading order accepts (p/2)^4 xi^8 per pulse;
+    # config refuses it below 4^4 times the smallest normal float, and
+    # every p it keeps simulates and analyzes
+    xi = default_config().detection.efficiency
+    edge = 2 * (4**4 * sys.float_info.min / xi**8) ** (1 / 4)
+    data = config_to_dict(default_config())
+    for name, p, code in (("kept", edge * 1.001, 0), ("refused", edge * 0.999, 2)):
+        data["sources"]["pair_probability"] = p
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        out = str(tmp_path / name)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--config", str(path), "--out", out, "--exact"]) == code
+            if code == 0:
+                assert main(["analyze", out, "--config", str(path)]) == 0
+    assert "underflows float64" in capsys.readouterr().err
+
+
 def test_simulate_refuses_a_run_too_short_to_record_events(tmp_path, capsys):
     cfg = ExperimentConfig(
         sources=SourceSettings(count=2, pair_probability=0.02, truncation_pairs=2),

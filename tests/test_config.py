@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +105,8 @@ def test_all_problems_collected_in_one_error():
         ("sources", "fusion_overlap", 1.01),
         ("sources", "truncation_pairs", 0),
         ("sources", "truncation_pairs", 2.5),
+        # a mode's photon count is packed into one byte
+        ("sources", "truncation_pairs", 256),
         ("sources", "count", 3),
         ("detection", "efficiency", 0.0),
         ("detection", "repetition_rate_hz", -76.0e6),
@@ -121,6 +124,29 @@ def test_bad_scalar_rejected(section, key, value):
     data[section][key] = value
     with pytest.raises(ConfigError, match=key):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_underflowing_leading_acceptance_refused(count):
+    # (p/2)^S xi^(2S) over S sources must stay 4^S above the smallest
+    # normal float, whichever of p and xi is small
+    data = config_to_dict(default_config())
+    data["sources"]["count"] = data["sources"]["truncation_pairs"] = count
+    data["run"].pop("settings")
+    floor = math.log(4**count * sys.float_info.min)
+    for key, other in (("pair_probability", 0.3), ("efficiency", 0.3)):
+        section = "sources" if key == "pair_probability" else "detection"
+        data["sources"]["pair_probability"] = data["detection"]["efficiency"] = other
+        # the value of key that puts the leading probability on the floor
+        if key == "pair_probability":
+            edge = 2 * math.exp((floor - 2 * count * math.log(other)) / count)
+        else:
+            edge = math.exp((floor - count * math.log(other / 2)) / (2 * count))
+        data[section][key] = edge * 1.001
+        config_from_dict(data)
+        data[section][key] = edge * 0.999
+        with pytest.raises(ConfigError, match="underflows float64"):
+            config_from_dict(data)
 
 
 def test_bad_topology_shape_rejected():

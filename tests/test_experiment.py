@@ -271,6 +271,14 @@ def test_assembly_parameter_validation(kwargs, msg):
         assemble_apparatus(star_topology(2), pair_probability=0.05, **kwargs)
 
 
+def test_truncation_past_one_byte_per_mode_refused():
+    # a mode holds up to truncation_pairs photons, packed one byte per mode
+    app = assemble_apparatus(star_topology(2), pair_probability=0.05, truncation_pairs=255)
+    assert app.truncation_pairs == 255
+    with pytest.raises(ValueError, match=r"truncation_pairs must lie in 1\.\.255"):
+        dataclasses.replace(app, truncation_pairs=256)
+
+
 def test_build_apparatus_from_default_config():
     app = build_apparatus(default_config())
     assert app.topology.shape == "star"
@@ -1044,6 +1052,27 @@ def test_fixed_order_distribution_scales_as_a_power_of_p(sources, gamma_s, gamma
     for p in (1e-12, 3e-10, 1e-7, 2e-5, 0.058):
         for got, expected in zip(scaled(p), reference):
             assert_matches(got, expected)
+
+
+def test_tiny_detector_efficiency_scales_as_its_power(ideal_star):
+    # one pair per source puts one photon in each of the 8 arms, so every
+    # accepted probability is xi^8 times its value at xi = 1, with the same
+    # exact zeros; at xi = 1e-30, 1 - xi rounds to 1 and a firing
+    # probability read as 1 - (1 - xi)^n would be 0
+    plan = [hv_setting(), *(k_setting(k) for k in range(8))]
+    plan.append(angle_setting([0.3, 1.1, 2.0, 5.0, 0.7, 2.9, 4.4, 6.0]))
+
+    def scaled(xi):
+        app = dataclasses.replace(ideal_star, detector_efficiency=xi)
+        return [
+            {pat: v / xi**8 for pat, v in dist.items()}
+            for dist in absolute_outcome_distributions(app, plan)
+        ]
+
+    reference = scaled(1.0)
+    assert any(v == 0.0 for dist in reference for v in dist.values())
+    for got, expected in zip(scaled(1e-30), reference):
+        assert_matches(got, expected)
 
 
 @pytest.mark.parametrize("marked", [False, True], ids=["interfering", "distinguishable"])

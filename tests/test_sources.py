@@ -219,11 +219,8 @@ def test_closed_form_ensemble_matches_the_oracle_construction(gamma):
         amp = complex(src.process_amplitude**n)
         for (_, hs), (_, state) in zip(closed, oracle):
             terms = []
-            for moves, a, _ in _Moved(n, hs, amp, identity, len(outputs)).terms:
-                occ = [0] * len(outputs)
-                for dest, count in moves:
-                    occ[dest] = count
-                terms.append((tuple(occ), a))
+            for packed, a, _ in _Moved(n, hs, amp, identity, len(outputs)).terms:
+                terms.append((tuple(packed.to_bytes(len(outputs), "little")), a))
             expected = []
             for occ, a in state.terms.items():
                 # the synthesizer leaves every other mode empty

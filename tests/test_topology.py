@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import emission_sector, map_modes, tensor_product
+from oracles import admits_by_splits, emission_sector, map_modes, tensor_product
 from photonfusion.elements import apply_element, element_on, pbs_matrix
 from photonfusion.fock import ModeLabel, registry_from
 from photonfusion.sources import TAG_BROAD, TAG_NARROW, PdcSource
@@ -154,21 +156,6 @@ def test_enumerator_matches_fock_oracle(make_topo, order):
         assert (counts in kept) == fused_pattern_support(topo, counts), counts
 
 
-def admits_by_every_split(topology, counts) -> bool:
-    """The coincidence filter walking all prod(n + 1) H/V splits."""
-    for split in itertools.product(*(range(n + 1) for n in counts)):
-        n_h: dict = {}
-        n_v: dict = {}
-        for (arm_a, arm_b), n, h in zip(topology.sources, counts, split):
-            n_h[arm_a] = n_h[arm_b] = h
-            n_v[arm_a] = n_v[arm_b] = n - h
-        for x, y in topology.fusion_edges:
-            n_v[x], n_v[y] = n_v[y], n_v[x]
-        if all(n_h[a] + n_v[a] for a in topology.arms):
-            return True
-    return False
-
-
 @pytest.mark.parametrize(
     "topo, most",
     [(star_topology(), 6), (chain_topology(3), 6), (star_topology(2), 6)],
@@ -177,9 +164,57 @@ def admits_by_every_split(topology, counts) -> bool:
 def test_filter_matches_every_split_walk(topo, most):
     # all-H, all-V and one mixed split per source decide every arm
     for counts in itertools.product(range(most + 1), repeat=topo.n_sources):
-        assert pattern_admits_coincidence(topo, counts) == admits_by_every_split(
-            topo, counts
+        assert pattern_admits_coincidence(topo, counts) == admits_by_splits(
+            topo, counts, every=True
         ), counts
+
+
+@st.composite
+def wirings(draw):
+    """A custom wiring of 1 to 5 sources on shuffled arm labels, with up
+    to two splitters per source in a drawn beam-path order, so some arms
+    pass through two or more splitters. A drawn edge that would join a
+    source directly to itself is left out, as FusionTopology refuses it."""
+    n = draw(st.integers(1, 5))
+    arms = draw(st.permutations(range(1, 2 * n + 1)))
+    sources = [(arms[2 * i], arms[2 * i + 1]) for i in range(n)]
+    owner = {arm: i for i, pair in enumerate(sources) for arm in pair}
+    edges: list = []
+    fused: set = set()
+    pairs = st.tuples(st.sampled_from(arms), st.sampled_from(arms))
+    for x, y in draw(st.lists(pairs, max_size=2 * n)):
+        if x != y and (owner[x] != owner[y] or x in fused or y in fused):
+            edges.append((x, y))
+            fused.update((x, y))
+    return FusionTopology(tuple(sources), tuple(edges))
+
+
+@st.composite
+def patterns_up_to_order(draw, n_sources, most=6):
+    """Pair counts per source totalling at most most pairs, and at least
+    one pair fewer than sources: fewer could never occupy every arm."""
+    order = draw(st.integers(max(0, n_sources - 1), most))
+    counts = [0] * n_sources
+    for i in draw(st.lists(st.integers(0, n_sources - 1), min_size=order, max_size=order)):
+        counts[i] += 1
+    return tuple(counts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), topo=wirings())
+def test_filter_matches_the_split_oracle_on_random_wirings(data, topo):
+    # every pattern of at most two pairs per source, the counts the filter
+    # tells apart, and drawn patterns with more pairs on one source
+    small = [
+        counts
+        for counts in itertools.product(range(3), repeat=topo.n_sources)
+        if sum(counts) <= 6
+    ]
+    drawn = data.draw(st.lists(patterns_up_to_order(topo.n_sources), max_size=10))
+    for counts in small + drawn:
+        assert pattern_admits_coincidence(topo, counts) == admits_by_splits(
+            topo, counts
+        ), (topo, counts)
 
 
 @pytest.mark.parametrize("make_topo", [star_topology, chain_topology])
@@ -189,7 +224,7 @@ def test_admitted_patterns_in_product_order(make_topo):
         expected = [
             counts
             for counts in all_patterns(topo.n_sources, order)
-            if admits_by_every_split(topo, counts)
+            if admits_by_splits(topo, counts, every=True)
         ]
         assert admitted_patterns(topo, order) == expected
 
