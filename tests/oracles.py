@@ -525,16 +525,12 @@ def pattern_probability(apparatus, counts) -> float:
 # ---- The coincidence filter by H/V splits ----
 
 
-def admits_by_splits(topology, counts, every: bool = False) -> bool:
+def admits_by_splits(topology, counts) -> bool:
     """Whether some split of each source's n pairs into h all-H and n - h
-    all-V pairs leaves every arm occupied. Each arm's H and V counts are
-    tracked through the splitters in beam-path order: a splitter passes H
-    and exchanges the two arms' V counts. Tries every h in 0..n when
-    every is set, else h = 0, 1 and n: whether an arm is occupied depends
-    only on whether each split is all-H, all-V or mixed, so those three
-    stand for all of them."""
-    splits = [range(n + 1) if every else {0, min(1, n), n} for n in counts]
-    for split in itertools.product(*splits):
+    all-V pairs, h in 0..n, leaves every arm occupied. Each arm's H and V
+    counts are tracked through the splitters in beam-path order: a
+    splitter passes H and exchanges the two arms' V counts."""
+    for split in itertools.product(*(range(n + 1) for n in counts)):
         n_h: dict = {}
         n_v: dict = {}
         for (arm_a, arm_b), n, h in zip(topology.sources, counts, split):

@@ -162,10 +162,10 @@ def test_enumerator_matches_fock_oracle(make_topo, order):
     ids=["star-4", "chain-3", "star-2"],
 )
 def test_filter_matches_every_split_walk(topo, most):
-    # all-H, all-V and one mixed split per source decide every arm
+    # arm masks decide what walking every H/V split of each source decides
     for counts in itertools.product(range(most + 1), repeat=topo.n_sources):
         assert pattern_admits_coincidence(topo, counts) == admits_by_splits(
-            topo, counts, every=True
+            topo, counts
         ), counts
 
 
@@ -224,13 +224,13 @@ def test_admitted_patterns_in_product_order(make_topo):
         expected = [
             counts
             for counts in all_patterns(topo.n_sources, order)
-            if admits_by_splits(topo, counts, every=True)
+            if admits_by_splits(topo, counts)
         ]
         assert admitted_patterns(topo, order) == expected
 
 
 def test_star_order_40_rows():
-    # 12,341 compositions, each checked with at most 3^4 splits
+    # 12,341 compositions, each decided by at most 2^4 arm-mask unions
     rows = enumerate_error_terms(star_topology(), 40)
     assert len(rows) == 9139
     assert all(row.pattern.order == 40 and row.erroneous for row in rows)
