@@ -350,12 +350,11 @@ class _Branch:
     a * width to (a + 1) * width - 1, and each adjacent (H, V) pair of
     modes, one per tag, is a slot. Memos fill as settings are computed,
     since none depends on the setting: firing probabilities per joint plus
-    count, which depend on the detector efficiency alone; a slot's
-    one-photon analyzer amplitudes per angle and its n-photon ones per
-    (angle, photon number); and an arm's row per (angle, photon numbers of
-    its occupied slots). All are shared by every setting, arm and slot at
-    that angle, since every analyzer of a branch applies one matrix to one
-    slot.
+    count of an arm's slots, which depend on the detector efficiency
+    alone, and a slot's one-photon analyzer amplitudes per angle and its
+    n-photon ones per (angle, photon number), shared by every setting, arm
+    and slot at that angle, since every analyzer of a branch applies one
+    matrix to one slot. A plan builds its arm rows from them (_PatternSum).
     """
 
     def __init__(self, apparatus: Apparatus, marked: bool, weight: float):
@@ -378,15 +377,15 @@ class _Branch:
         self._weights: dict = {}
         self._one_photon: dict = {}
         self._analyzers: dict = {}
-        self._rows: dict = {}
 
     def photons(self, occ) -> tuple:
         """An occupation's photon numbers per slot, arm by arm."""
         return tuple(map(operator.add, occ[0::2], occ[1::2]))
 
     def weights(self, ns: tuple) -> np.ndarray:
-        """Firing probabilities per joint plus count of an arm's slots holding
-        ns photons, shape (prod(n+1), 2)."""
+        """Firing probabilities, (first, second), per joint plus count of an
+        arm's slots holding ns photons, in slot order: shape (prod(n+1), 2),
+        the first slot varying slowest."""
         hit = self._weights.get(ns)
         if hit is None:
             total = sum(ns)
@@ -398,15 +397,11 @@ class _Branch:
             )
         return hit
 
-    def analyzer(self, theta: float, n: int) -> np.ndarray:
-        """<p +, (n-p) -| analyzer |h H, (n-h) V> of a slot holding n
-        photons, as a matrix [p, h]: the symmetric power of the slot's
-        one-photon analyzer amplitudes (_symmetric_power)."""
-        return self.analyzed(theta, n)[0]
-
     def analyzed(self, theta: float, n: int) -> tuple:
-        """(analyzer(theta, n), the sums of its entries' leaf magnitudes): an
-        entry that cancels within those (fock._cancels) is an exact zero, as
+        """(<p +, (n-p) -| analyzer |h H, (n-h) V> of an n-photon slot as a
+        matrix [p, h], the sums of its entries' leaf magnitudes): symmetric
+        powers of the one-photon amplitudes and their magnitudes. An entry
+        that cancels within its leaves (fock._cancels) is an exact zero, as
         apply_element drops it."""
         hit = self._analyzers.get((theta, n))
         if hit is None:
@@ -435,36 +430,6 @@ class _Branch:
             (plus_h, minus_h), (plus_v, minus_v) = columns
             hit = self._one_photon[theta] = ((plus_h, plus_v), (minus_h, minus_v))
         return hit
-
-    def row(self, theta, slots: tuple) -> tuple:
-        """(first, second) firing probabilities of one arm for a unit
-        amplitude with (h, v) photons in each of its occupied slots, in
-        slot order. At HV (theta None) there is no analyzer: the H port is
-        the first and the amplitude is untouched."""
-        key = (theta, slots)
-        hit = self._rows.get(key)
-        if hit is None:
-            hit = self._rows[key] = self._row(theta, slots)
-        return hit
-
-    def _row(self, theta, slots: tuple) -> tuple:
-        n_h = sum(h for h, _ in slots)
-        total = n_h + sum(v for _, v in slots)
-        if theta is None:
-            return _firing(n_h, total - n_h, self.log_miss)
-        # each slot's analyzed amplitudes {p: amplitude}, exact zeros left out
-        columns = [
-            {p: a for p, a in enumerate(self.analyzer(theta, h + v)[:, h].tolist()) if a}
-            for h, v in slots
-        ]
-        first = second = 0.0
-        for outs in itertools.product(*(col.items() for col in columns)):
-            plus = sum(p for p, _ in outs)
-            w = abs(math.prod(a for _, a in outs)) ** 2
-            f_first, f_second = _firing(plus, total - plus, self.log_miss)
-            first += w * f_first
-            second += w * f_second
-        return first, second
 
 
 class _Moved:
@@ -686,37 +651,28 @@ class _PatternSum:
     one stream of (weight, supported, branch, k) members from _members,
     which hold only the terms with a photon in every arm.
 
-    The supported terms are grouped into coherence classes, the terms an
-    analyzer can mix: at HV each term alone, and add sums it into a key
-    (branch, occupation, |amplitude|) holding its summed weight; at a
-    rotated setting the terms with equal photon numbers per (arm, tag)
-    slot. Those do not depend on the angles, so add splits each member
-    once for the whole plan: a single-term class is summed into a key of
-    the same form, and a multi-term class is kept whole. Neither key set
-    depends on which settings the plan holds, so neither does any
-    setting's vector.
+    An analyzer mixes only terms with equal photon numbers per (arm, tag)
+    slot, a coherence class. Over the outputs, a class of terms with
+    amplitudes a_t and analyzed amplitudes psi_t adds |sum_t a_t psi_t|^2 =
+    sum_t |a_t psi_t|^2 + sum_{t<t'} 2 Re(a_t conj(a_t') psi_t conj(psi_t'))
+    times the firing probabilities, each product factorizing over arms. So
+    add sums each term into a single key (branch, occupation, |amplitude|)
+    and each pair of a class's terms into a pair key (branch, occupation
+    and partner occupation arm by arm, a_t conj(a_t')), both holding summed
+    weights. HV mixes nothing and reads single keys alone, from its own
+    tally over all members: HV detection is diagonal in occupation and the
+    fusion map is a permutation, so both overlaps drop out of it. The
+    rotated keys hold one weight per overlap component (branch, k)
+    (_members), whose members all carry gamma_s^k (1 - gamma_s)^(S - k)
+    times the branch weight, so one build can be read at any overlaps
+    (_overlap_distributions).
 
-    The rotated side keeps one sum per overlap component (branch, k) of
-    the members (_members): a key holds one summed weight per component,
-    and a multi-term class counts towards its member's component. Every
-    member of a component carries the same weight gamma_s^k (1 -
-    gamma_s)^(S - k) times the branch weight, so components() lets one
-    build be read at any overlaps (_overlap_distributions), and a rotated
-    setting's vector is the sum of its components. HV needs no
-    components: HV detection is diagonal in occupation and the fusion map
-    is a permutation, so both overlaps drop out of it, and its tally,
-    summed over all members, is the one HV vector at every overlap.
-
-    vectors() reduces the whole plan at once. A key's firing profile under
-    a setting is the product of its arms' rows (_Branch.row), gathered as
-    one array over the settings, and the key adds weight * |amplitude|^2
-    times its profile, whatever its scale: a single term meets no sum but
-    the analyzers' own, whose exact zeros the rows leave out. The
-    profiles are expanded a block of keys at a time, and on the rotated
-    side contracted with the weights of every component at once. A
-    multi-term class is contracted with the analyzers once (_contract),
-    with the rotated settings as a leading axis. At HV there is no
-    analyzer: the H port is the first.
+    A key's firing profile is the product of its arms' rows, read from one
+    table per plan (_table). A component's vector is its single keys' sum
+    plus the real part of its pair keys'; an entry that cancels within the
+    single keys' sum plus the pair keys' leaf magnitudes (fock._cancels) is
+    an exact zero, as apply_element drops it. No key, and so no vector,
+    depends on which settings the plan holds.
     """
 
     def __init__(self, n_arms: int, settings, members):
@@ -724,10 +680,12 @@ class _PatternSum:
         self.settings = settings = list(settings)
         self.rotated = [s.angles for s in settings if s.angles is not None]
         self.hv = len(self.rotated) < len(settings)
+        # the plan's distinct angles, None for HV
+        angles = [t for row in self.rotated for t in row] + [None] * self.hv
+        self.thetas = {t: i for i, t in enumerate(dict.fromkeys(angles))}
         self.terms: dict = {}
         self.singles: dict = {}
-        self.classes: list = []
-        self._stacks: dict = {}
+        self.pairs: dict = {}
         for member in members:
             self.add(*member)
 
@@ -736,145 +694,114 @@ class _PatternSum:
             _tally(self.terms, branch, weight, supported)
         if not self.rotated:
             return
-        component = (branch, k)
-        singles = self.singles.get(component)
-        if singles is None:
-            singles = self.singles[component] = {}
+        _tally(self.singles.setdefault((branch, k), {}), branch, weight, supported)
+        pairs = self.pairs.setdefault((branch, k), {})
         classes: dict = {}
         for term in supported:
             classes.setdefault(branch.photons(term[0]), []).append(term)
+        w = branch.width
         for terms in classes.values():
-            if len(terms) == 1:
-                _tally(singles, branch, weight, terms)
-            else:
-                self.classes.append((component, weight, terms))
+            for (occ, a), (other, b) in itertools.combinations(terms, 2):
+                arms = range(0, len(occ), w)
+                both = b"".join(occ[s : s + w] + other[s : s + w] for s in arms)
+                key = (branch, both, a * b.conjugate())
+                pairs[key] = pairs.get(key, 0.0) + weight
 
     def vectors(self) -> list:
         """One vector per setting, in order; HV settings share theirs."""
-        if self.rotated:
-            _, components = self.components()
-            rotated = iter(components.sum(axis=1))
-        if self.hv:
-            keys = list(self.terms)
-            amps = np.array([amp for _, _, amp in keys])
-            weights = np.fromiter(self.terms.values(), float, len(keys)) * amps**2
-            rows = self._rows(keys, [(None,) * self.n_arms])
-            hv = _expand(rows, weights[None], np.zeros((1, 2**self.n_arms)))[0]
+        _, components, hv = self.components()
+        rotated = iter(components.sum(axis=1))
         return [hv if s.angles is None else next(rotated) for s in self.settings]
 
     def components(self) -> tuple:
         """The overlap components (branch, k) of the members added, in
-        first-seen order, and the rotated settings' vectors per component:
-        shape (rotated settings, components, 2^n)."""
-        labels = list(dict.fromkeys([*self.singles, *(c for c, _, _ in self.classes)]))
-        column = {c: i for i, c in enumerate(labels)}
-        index: dict = {}
-        for tally in self.singles.values():
-            for key in tally:
-                index.setdefault(key, len(index))
-        keys = list(index)
-        # sums[component, key]: the summed weights
-        sums = np.zeros((len(labels), len(keys)))
-        for c, tally in self.singles.items():
-            sums[column[c], [index[key] for key in tally]] = list(tally.values())
-        amps = np.array([amp for _, _, amp in keys])
-        vectors = np.zeros((len(self.rotated), len(labels), 2**self.n_arms))
-        for c, weight, terms in self.classes:
-            vectors[:, column[c]] += weight * self._contract(c[0], terms)
-        rows = self._rows(keys, self.rotated)
-        return labels, _expand(rows, (sums * amps**2)[None], vectors)
-
-    def _rows(self, keys, angle_rows) -> np.ndarray:
-        """(settings, keys, arms, 2): each key's arm rows, (first, second),
-        under each setting's per-arm angles; read from one table over the
-        distinct (branch, arm's slice of the occupation) pairs and the
-        distinct angles of the plan."""
-        pairs: dict = {}
-        index = [
-            [
-                pairs.setdefault((branch, occ[start : start + branch.width]), len(pairs))
-                for start in range(0, len(occ), branch.width)
-            ]
-            for branch, occ, _ in keys
+        first-seen order, the rotated settings' vectors per component, shape
+        (rotated settings, components, 2^n), and the HV vector (None
+        without HV)."""
+        labels = list(self.singles)
+        single_keys, sums = _stacked(self.singles, labels)
+        pair_keys, pair_sums = _stacked(self.pairs, labels)
+        slices: dict = {}
+        hv_index, single_index, pair_index = [
+            _arm_index(slices, keys, self.n_arms)
+            for keys in (self.terms, single_keys, pair_keys)
         ]
-        thetas: dict = {}
-        angle_index = [[thetas.setdefault(t, len(thetas)) for t in row] for row in angle_rows]
-        occupied = [
-            (branch, tuple((h, v) for h, v in zip(arm[0::2], arm[1::2]) if h + v))
-            for branch, arm in pairs
-        ]
-        table = np.array(
-            [[branch.row(t, slots) for t in thetas] for branch, slots in occupied]
-        ).reshape(len(pairs), len(thetas), 2)
-        index = np.array(index, dtype=np.intp).reshape(len(keys), self.n_arms)
-        return table[index[None], np.array(angle_index)[:, None]]
+        rows, leaves = self._table(list(slices))
+        size = 2**self.n_arms
+        hv = None
+        if self.hv:
+            amps = np.array([amp for _, _, amp in self.terms])
+            weights = np.fromiter(self.terms.values(), float, len(amps)) * amps**2
+            column = np.full((1, self.n_arms), self.thetas[None])
+            hv = _expand(rows.real, hv_index, column, weights[None], np.zeros((1, size)))[0]
+        angles = np.array(
+            [[self.thetas[t] for t in row] for row in self.rotated], dtype=np.intp
+        ).reshape(len(self.rotated), self.n_arms)
+        amps = np.array([amp for _, _, amp in single_keys])
+        vectors = np.zeros((len(self.rotated), len(labels), size))
+        _expand(rows.real, single_index, angles, (sums * amps**2)[None], vectors)
+        if pair_keys:
+            coefs = 2 * pair_sums * np.array([product for _, _, product in pair_keys])
+            scale = _expand(leaves, pair_index, angles, abs(coefs)[None], vectors.copy())
+            _expand(rows, pair_index, angles, coefs[None], vectors)
+            vectors[_cancels(vectors, scale)] = 0.0
+        return labels, vectors, hv
 
-    def _stack(self, branch: _Branch, arm: int, n: int) -> tuple:
-        """The analyzer matrices of arm's n-photon slots under each rotated
-        setting, shape (rotated settings, n + 1, n + 1), and the sums of
-        their entries' leaf magnitudes, of the same shape."""
-        key = (branch, arm, n)
-        hit = self._stacks.get(key)
-        if hit is None:
-            u, scale = zip(*(branch.analyzed(angles[arm], n) for angles in self.rotated))
-            hit = self._stacks[key] = np.array(u), np.array(scale)
-        return hit
+    def _table(self, slices: list) -> tuple:
+        """(rows, leaves), each (slices, angles of the plan, 2): each arm
+        slice's (first, second) row and, for a pair key's slice, the same
+        sum over the analyzers' leaf magnitudes. A row sums, over the
+        outputs p of the occupied slots, prod_s U[p_s, h_s] conj(U[p_s,
+        h'_s]) times p's firing probabilities (_Branch.weights): U is the
+        slot's analyzer (the identity at HV), h and h' the slots' H counts
+        in the occupation and its partner. A single key's slice is its own
+        partner, so its row is real. Array operations per (branch, photon
+        numbers of the occupied slots, single or pair) build the rows."""
+        stack = functools.cache(self._stack)
+        groups: dict = {}
+        for i, (branch, arm) in enumerate(slices):
+            arm, other = arm[: branch.width], arm[branch.width :]
+            slots = [s for s in range(0, len(arm), 2) if arm[s] + arm[s + 1]]
+            ns = tuple(arm[s] + arm[s + 1] for s in slots)
+            at, hs = groups.setdefault((branch, ns, not other), ([], []))
+            at.append(i)
+            hs.append([arm[s] for s in slots] + [other[s] for s in slots if other])
+        pairs = not all(single for _, _, single in groups)
+        rows = np.zeros((len(slices), len(self.thetas), 2), complex if pairs else float)
+        leaves = np.zeros(rows.shape)
+        for (branch, ns, single), (at, hs) in groups.items():
+            # the slots' H counts in the occupation, then in its partner
+            hs = np.array(hs, dtype=np.intp).reshape(len(at), -1)
+            partners = hs if single else hs[:, len(ns) :]
+            # (slices, angles, joint outputs), the first slot slowest
+            product = leaf = np.ones((len(at), len(self.thetas), 1))
+            for n, h, partner in zip(ns, hs.T, partners.T):
+                u, scale = stack(branch, n)
+                if single:
+                    product = _outer(product, abs(u[h]) ** 2)
+                else:
+                    product = _outer(product, u[h] * u[partner].conj())
+                    leaf = _outer(leaf, scale[h] * scale[partner])
+            # summed along each row: no row depends on the plan's other
+            # slices or angles
+            weights = branch.weights(ns).T
+            rows[at] = (product[:, :, None] * weights).sum(axis=-1)
+            if not single:
+                leaves[at] = (leaf[:, :, None] * weights).sum(axis=-1)
+        return rows, leaves
 
-    def _contract(self, branch: _Branch, terms) -> np.ndarray:
-        """Accepted-pattern vectors of one coherence class, terms sharing
-        their photon numbers per slot, under every rotated setting:
-        shape (rotated settings, 2^n).
+    def _stack(self, branch: _Branch, n: int) -> tuple:
+        """An n-photon slot's analyzer matrices under each angle of the plan
+        (the identity at HV), indexed [h, angle, p], and the sums of their
+        entries' leaf magnitudes."""
+        eye = np.eye(n + 1), np.eye(n + 1)
+        u, scale = zip(*(eye if t is None else branch.analyzed(t, n) for t in self.thetas))
+        return tuple(np.array(m).transpose(2, 0, 1) for m in (u, scale))
 
-        The analyzers act slot by slot in element order. A slot's analyzer
-        sums the terms that differ only in that slot's H count (the
-        merge); the sums of their leaves' magnitudes run alongside, and a
-        merged amplitude that cancels within their rounding (fock._cancels)
-        is an exact zero, as apply_element drops it.
-        """
-        first = terms[0][0]
-        # (arm, H mode, photon number) of each occupied slot, in mode order
-        slots = [
-            (t // branch.width, t, first[t] + first[t + 1])
-            for t in range(0, len(first), 2)
-            if first[t] + first[t + 1]
-        ]
-        n_settings = len(self.rotated)
-        # amps[setting, column, output of the last analyzed slot, ..., of the
-        # first]: one column per distinct H-count tuple of the slots not
-        # analyzed yet, as every other column of the whole tensor is zero
-        rests = [tuple(occ[t] for _, t, _ in slots) for occ, _ in terms]
-        amps = np.array([[amp for _, amp in terms]], dtype=complex)
-        for a, _, n in slots:
-            u, scale = self._stack(branch, a, n)
-            # each column's analyzer column, gathered, its outputs on a new
-            # axis after the column axis
-            h = [rest[0] for rest in rests]
-            shape = (n_settings, len(rests), n + 1) + (1,) * (amps.ndim - 2)
-            before = amps[:, :, None]
-            amps = before * u[:, :, h].transpose(0, 2, 1).reshape(shape)
-            merged = dict.fromkeys(rest[1:] for rest in rests)
-            if len(merged) < len(rests):
-                column = {rest: c for c, rest in enumerate(merged)}
-                leaves = np.abs(before) * scale[:, :, h].transpose(0, 2, 1).reshape(shape)
-                out = np.zeros((n_settings, len(merged)) + amps.shape[2:], dtype=complex)
-                # the merged amplitudes and their leaves' summed magnitudes
-                size = np.zeros(out.shape)
-                for j, rest in enumerate(rests):
-                    out[:, column[rest[1:]]] += amps[:, j]
-                    size[:, column[rest[1:]]] += leaves[:, j]
-                out[_cancels(out, size)] = 0.0
-                amps = out
-            rests = list(merged)
-        # arms last to first on the axes; each arm's firing pair goes last,
-        # so the first arm varies fastest in the end
-        prob = np.abs(amps[:, 0]) ** 2
-        for a in reversed(range(self.n_arms)):
-            # the arm's slot axes run last slot first; firing depends on the
-            # arm's plus count alone
-            ns = tuple(n for b, _, n in reversed(slots) if b == a)
-            weights = branch.weights(ns)
-            prob = prob.reshape(n_settings, len(weights), -1).transpose(0, 2, 1) @ weights
-        return prob.reshape(n_settings, -1)
+
+def _outer(product: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """(slices, angles, P) times a slot's (slices, angles, n + 1), it fastest."""
+    return (product[..., None] * factor[..., None, :]).reshape(*product.shape[:2], -1)
 
 
 def _tally(sums: dict, branch: _Branch, weight: float, terms) -> None:
@@ -883,24 +810,53 @@ def _tally(sums: dict, branch: _Branch, weight: float, terms) -> None:
         sums[key] = sums.get(key, 0.0) + weight
 
 
-def _expand(rows: np.ndarray, weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def _stacked(tallies: dict, labels: list) -> tuple:
+    """The keys of per-component tallies, in first-seen order, and their
+    summed weights, shape (components, keys)."""
+    keys = list(dict.fromkeys(key for tally in tallies.values() for key in tally))
+    index = {key: i for i, key in enumerate(keys)}
+    sums = np.zeros((len(labels), len(keys)))
+    for c, label in enumerate(labels):
+        sums[c, [index[key] for key in tallies[label]]] = list(tallies[label].values())
+    return keys, sums
+
+
+def _arm_index(slices: dict, keys, n_arms: int) -> np.ndarray:
+    """(keys, arms): the index in slices of each key's arm slices, (branch,
+    the key's bytes on the arm), new slices added in order."""
+    index = []
+    for branch, occ, _ in keys:
+        w = len(occ) // n_arms
+        arms = range(0, len(occ), w)
+        index.append([slices.setdefault((branch, occ[s : s + w]), len(slices)) for s in arms])
+    return np.array(index, dtype=np.intp).reshape(len(keys), n_arms)
+
+
+def _expand(table, index, angles, weights, vectors) -> np.ndarray:
     """vectors plus the weighted sum of the keys' profiles, expanded into
-    pattern vectors with the first arm varying fastest, in place. rows is
-    (settings, keys, arms, 2); weights is (settings, keys), folded into
-    each profile product from the start, or (1, components, keys), the
-    same at every setting, contracted with the finished profiles into
-    vectors of shape (settings, components, 2^n). A block of keys at a
-    time keeps the expanded rows small."""
-    n_settings, n_keys, n_arms, _ = rows.shape
+    pattern vectors with the first arm varying fastest, in place, a block
+    of keys at a time. A key's row on arm a under setting s is
+    table[index[key, a], angles[s, a]]. weights is (settings, keys),
+    folded into each profile from the start, or (1, components, keys),
+    contracted with the finished profiles into vectors of shape (settings,
+    components, 2^n), of complex ones the real part."""
+    n_keys, n_arms = index.shape
     for start in range(0, n_keys, _PROFILE_BLOCK):
-        block = rows[:, start : start + _PROFILE_BLOCK]
+        block = table[index[None, start : start + _PROFILE_BLOCK], angles[:, None]]
         w = weights[..., start : start + _PROFILE_BLOCK]
         prob = w[..., None] if w.ndim == 2 else np.ones(block.shape[:2] + (1,))
         for a in reversed(range(n_arms)):
             prob = (prob[..., None] * block[:, :, a, None, :]).reshape(
-                n_settings, block.shape[1], -1
+                len(angles), block.shape[1], -1
             )
-        vectors += prob.sum(axis=1) if w.ndim == 2 else w @ prob
+        if w.ndim == 2:
+            vectors += prob.sum(axis=1)
+        else:
+            # two real products: a complex one can take a threaded BLAS
+            # path that runs a hundred times slower at these sizes
+            vectors += w.real @ prob.real
+            if np.iscomplexobj(prob):
+                vectors -= w.imag @ prob.imag
     return vectors
 
 
@@ -1102,7 +1058,7 @@ def _overlap_distributions(
     (0, 1) here, where every component has weight.
     """
     plan = _PatternSum(apparatus.n_arms, [setting], _all_members(apparatus))
-    labels, components = plan.components()
+    labels, components, _ = plan.components()
     here = np.array([_overlap_factor(apparatus, c) for c in labels])
     out = []
     for overlap in overlaps:

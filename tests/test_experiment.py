@@ -17,6 +17,7 @@ from oracles import (
     emission_sector,
     map_modes,
     members_for_pattern,
+    pattern_vector,
     tensor_product,
 )
 from oracles import outcome_distribution as oracle_distribution
@@ -1091,31 +1092,92 @@ def test_closed_form_analyzer_matches_apply_element(marked):
                 state = AmplitudeState(branch.registry, {occ: 1.0 + 0j}, n)
                 for out, a in apply_element(state, element).terms.items():
                     expected[out[0], h] = a
-            got = branch.analyzer(theta, n)
+            got, _ = branch.analyzed(theta, n)
             assert np.array_equal(got == 0, expected == 0), (theta, n)
             assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected)), (theta, n)
 
 
-def test_plan_contracts_each_class_once(monkeypatch):
+def test_plan_builds_the_same_pair_keys_and_one_row_table(monkeypatch):
     # default star at truncation 5: its multi-pair terms form multi-term
-    # coherence classes, contracted with every rotated setting at once
-    calls = []
-    contract = experiment._PatternSum._contract
+    # coherence classes, whose pairs of terms are pair keys; neither those
+    # keys nor the one arm-row table a plan builds depend on its settings
+    tables = []
+    table = experiment._PatternSum._table
 
-    def counted(self, branch, terms):
-        calls.append(len(terms))
-        return contract(self, branch, terms)
+    def counted(self, slices):
+        tables.append(
+            {
+                (branch.marked, k, key[1:]): weight
+                for (branch, k), pairs in self.pairs.items()
+                for key, weight in pairs.items()
+            }
+        )
+        return table(self, slices)
 
-    monkeypatch.setattr(experiment._PatternSum, "_contract", counted)
+    monkeypatch.setattr(experiment._PatternSum, "_table", counted)
     base = dataclasses.replace(build_apparatus(default_config()), truncation_pairs=5)
     plan = [setting_from_label(label) for label in default_config().run.settings]
     assert sum(s.angles is not None for s in plan) == 8
     absolute_outcome_distributions(dataclasses.replace(base), plan[:2])
-    one_setting = list(calls)
-    assert one_setting and max(one_setting) > 1
-    calls.clear()
+    assert len(tables) == 1 and tables[0]
     absolute_outcome_distributions(dataclasses.replace(base), plan)
-    assert calls == one_setting
+    assert len(tables) == 2
+    assert tables[1] == tables[0]
+
+
+def test_unequal_slots_of_one_arm_match_the_element_oracle():
+    # distinguishable branch alone: every photon keeps its source's mark,
+    # so an arm fed by both sources of star-2 holds two slots, and pattern
+    # (2, 2) puts 1 photon in one and 2 in the other, either way round.
+    # The firing weights (_Branch.weights) and the arm rows must order
+    # those slots alike. At HV a row is one entry of the weights, so a
+    # slot order of theirs that differs shows there; a rotated single
+    # key's row does not see it, as an analyzer's output probabilities are
+    # symmetric under swapping + and - in every slot.
+    app = assemble_apparatus(
+        star_topology(2), pair_probability=0.05, synthesizer_overlap=0.9,
+        fusion_overlap=0.0, detector_efficiency=0.7, truncation_pairs=4,
+    )
+    counts = (2, 2)
+    members = list(experiment._members(app, [counts]))
+    unequal = set()
+    for _, supported, branch, _ in members:
+        slots = branch.width // 2
+        for occ, _ in supported:
+            ns = branch.photons(occ)
+            for a in range(app.n_arms):
+                occupied = [n for n in ns[a * slots : (a + 1) * slots] if n]
+                if len(set(occupied)) > 1:
+                    unequal.add(tuple(occupied))
+    assert unequal == {(1, 2), (2, 1)}
+    plan = [hv_setting(), angle_setting([0.3, 1.1, 2.0, 5.0])]
+    for setting, got in zip(plan, _pattern_vectors(app, members, plan)):
+        expected = pattern_vector(app, members_for_pattern(app, counts), setting)
+        assert np.array_equal(got == 0.0, expected == 0.0)
+        assert np.all(np.abs(got - expected) <= 1e-12 * expected)
+
+
+@pytest.mark.parametrize("config", ["default", "ideal"])
+def test_half_turn_on_one_arm_swaps_its_labels(config, ideal_star):
+    # truncation 6, where pairs of terms of one coherence class carry the
+    # interference: adding pi to an analyzer's angle swaps its + and -
+    # outputs, so the arm's + and - labels trade values
+    app = build_apparatus(default_config()) if config == "default" else ideal_star
+    app = dataclasses.replace(app, truncation_pairs=6)
+    bases = [(math.pi / 8,) * 8, (0.3, 1.1, 2.0, 5.0, 0.7, 2.9, 4.4, 6.0)]
+    turned = [(b, arm) for b in range(len(bases)) for arm in (0, 5)]
+    plan = [angle_setting(angles) for angles in bases]
+    for b, arm in turned:
+        plan.append(angle_setting([t + math.pi * (a == arm) for a, t in enumerate(bases[b])]))
+    dists = absolute_outcome_distributions(app, plan)
+
+    def swapped(bits, arm):
+        return bits[:arm] + {"+": "-", "-": "+"}[bits[arm]] + bits[arm + 1 :]
+
+    for (b, arm), dist in zip(turned, dists[len(bases) :]):
+        values = {pat.bits: v for pat, v in dist.items()}
+        expected = {pat: values[swapped(pat.bits, arm)] for pat in dists[b]}
+        assert_matches(dists[b], expected)
 
 
 def test_non_monomial_fusion_optics_raise(monkeypatch):
