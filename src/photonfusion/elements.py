@@ -12,10 +12,11 @@ conserved, and unitarity is enforced at construction time.
 
 The simulator does not push whole states through elements. The
 experiment module compiles its optics from them: it applies the fusion
-elements and each analyzer to one-photon states, builds a slot's
-n-photon analyzer amplitudes from the analyzer's one-photon ones in
-closed form, and moves every ensemble member with the maps read off
-those.
+elements and each branch's analyzer at angle 0 to one-photon states,
+builds a slot's n-photon analyzer amplitudes from the analyzer's
+one-photon ones in closed form, reads every other angle as a phase on V
+photons (analyzer_matrix), and moves every ensemble member with the
+maps read off those.
 """
 
 from __future__ import annotations
@@ -165,7 +166,9 @@ def analyzer_matrix(theta: float) -> np.ndarray:
     """Change (H, V) into the superposition basis (+, -) at angle theta.
 
     The + output detects (|H> + e^{i theta} |V>)/sqrt2 and the - output
-    its orthogonal partner. Rows are (+, -), columns are (H, V).
+    its orthogonal partner. Rows are (+, -), columns are (H, V). It is
+    the analyzer at angle 0 behind a phase plate e^{-i theta} on V, so on
+    h H and n - h V photons it differs from angle 0 by e^{-i theta (n - h)}.
     """
     ph = complex(math.cos(theta), -math.sin(theta))
     return np.array([[1.0, ph], [1.0, -ph]]) / math.sqrt(2)

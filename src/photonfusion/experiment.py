@@ -14,7 +14,9 @@ The fusion network (polarizing splitters and a phase plate) is
 monomial, so it compiles to a permutation of modes with a phase per
 mode. Analyzers and bucket detectors act on one arm at a time, so they
 compile to per-arm analyzer amplitudes and firing probabilities, and a
-member is reduced arm by arm.
+member is reduced arm by arm. The amplitudes are built once, at analyzer
+angle 0: a rotated setting differs from it by one phase per pair of
+interfering terms.
 
 Imperfect interference enters as two scalar overlaps. The synthesizer
 overlap dephases each source's two emission processes against each
@@ -351,10 +353,12 @@ class _Branch:
     modes, one per tag, is a slot. Memos fill as settings are computed,
     since none depends on the setting: firing probabilities per joint plus
     count of an arm's slots, which depend on the detector efficiency
-    alone, and a slot's one-photon analyzer amplitudes per angle and its
-    n-photon ones per (angle, photon number), shared by every setting, arm
-    and slot at that angle, since every analyzer of a branch applies one
-    matrix to one slot. A plan builds its arm rows from them (_PatternSum).
+    alone, and a slot's analyzer amplitudes at angle 0, one-photon ones
+    and n-photon ones per photon number, shared by every arm and slot,
+    since every analyzer of a branch applies one matrix to one slot. Every
+    other angle is a phase on V photons (elements.analyzer_matrix), which
+    a plan applies per key, so a branch applies its analyzer element once.
+    A plan builds its arm rows from these memos (_PatternSum).
     """
 
     def __init__(self, apparatus: Apparatus, marked: bool, weight: float):
@@ -375,7 +379,6 @@ class _Branch:
         xi = apparatus.detector_efficiency
         self.log_miss = math.log1p(-xi) if xi < 1.0 else -math.inf
         self._weights: dict = {}
-        self._one_photon: dict = {}
         self._analyzers: dict = {}
 
     def photons(self, occ) -> tuple:
@@ -397,39 +400,40 @@ class _Branch:
             )
         return hit
 
-    def analyzed(self, theta: float, n: int) -> tuple:
-        """(<p +, (n-p) -| analyzer |h H, (n-h) V> of an n-photon slot as a
-        matrix [p, h], the sums of its entries' leaf magnitudes): symmetric
-        powers of the one-photon amplitudes and their magnitudes. An entry
-        that cancels within its leaves (fock._cancels) is an exact zero, as
-        apply_element drops it."""
-        hit = self._analyzers.get((theta, n))
+    def analyzed(self, n: int) -> tuple:
+        """(<p +, (n-p) -| analyzer |h H, (n-h) V> of an n-photon slot at
+        angle 0 as a real matrix [p, h], the sums of its entries' leaf
+        magnitudes): symmetric powers of the one-photon amplitudes and their
+        magnitudes. At angle theta, column h takes the factor
+        e^{-i theta (n - h)}. An entry that cancels within its leaves
+        (fock._cancels) is an exact zero, as apply_element drops it."""
+        hit = self._analyzers.get(n)
         if hit is None:
-            one = self.one_photon(theta)
+            one = self.one_photon
             u = _symmetric_power(one, n)
             scale = _symmetric_power([[abs(c) for c in row] for row in one], n).real
             u[_cancels(u, scale)] = 0.0
-            hit = self._analyzers[(theta, n)] = (u, scale)
+            # the angle-0 amplitudes are real: their imaginary parts are
+            # exact zeros
+            hit = self._analyzers[n] = (u.real, scale)
         return hit
 
-    def one_photon(self, theta: float) -> tuple:
+    @functools.cached_property
+    def one_photon(self) -> tuple:
         """((<+|H>, <+|V>), (<-|H>, <-|V>)): the branch's own analyzer
-        element (first arm, first tag: modes 0 and 1) applied to one H and
-        one V photon with apply_element."""
-        hit = self._one_photon.get(theta)
-        if hit is None:
-            element = _analyzer_element(self.registry, self.arms[0], self.tags[0], theta)
-            # one photon in mode 0 (H in, + out) or in mode 1 (V in, - out)
-            rest = (0,) * (len(self.registry) - 2)
-            first, second = (1, 0) + rest, (0, 1) + rest
-            columns = []
-            for photon in (first, second):
-                state = AmplitudeState(self.registry, {photon: 1.0 + 0j}, 1)
-                terms = apply_element(state, element).terms
-                columns.append([complex(terms.get(out, 0j)) for out in (first, second)])
-            (plus_h, minus_h), (plus_v, minus_v) = columns
-            hit = self._one_photon[theta] = ((plus_h, plus_v), (minus_h, minus_v))
-        return hit
+        element at angle 0 (first arm, first tag: modes 0 and 1) applied to
+        one H and one V photon with apply_element."""
+        element = _analyzer_element(self.registry, self.arms[0], self.tags[0], 0.0)
+        # one photon in mode 0 (H in, + out) or in mode 1 (V in, - out)
+        rest = (0,) * (len(self.registry) - 2)
+        first, second = (1, 0) + rest, (0, 1) + rest
+        columns = []
+        for photon in (first, second):
+            state = AmplitudeState(self.registry, {photon: 1.0 + 0j}, 1)
+            terms = apply_element(state, element).terms
+            columns.append([complex(terms.get(out, 0j)) for out in (first, second)])
+        (plus_h, minus_h), (plus_v, minus_v) = columns
+        return (plus_h, plus_v), (minus_h, minus_v)
 
 
 class _Moved:
@@ -668,11 +672,17 @@ class _PatternSum:
     (_overlap_distributions).
 
     A key's firing profile is the product of its arms' rows, read from one
-    table per plan (_table). A component's vector is its single keys' sum
-    plus the real part of its pair keys'; an entry that cancels within the
-    single keys' sum plus the pair keys' leaf magnitudes (fock._cancels) is
-    an exact zero, as apply_element drops it. No key, and so no vector,
-    depends on which settings the plan holds.
+    table per plan (_table) in at most two bases: the identity for HV and
+    the analyzers at angle 0 for every rotated setting. An analyzer at
+    angle theta is the one at angle 0 behind a phase e^{-i theta} on V
+    (elements.analyzer_matrix), so a single key's rows are the same at
+    every angle, and a setting turns a pair key's profile by
+    e^{-i sum_a theta_a delta_a}, delta_a the partner's H count minus the
+    occupation's on arm a. A component's vector is its single keys' sum
+    plus the real part of its turned pair keys'; an entry that cancels
+    within the single keys' sum plus the pair keys' leaf magnitudes
+    (fock._cancels) is an exact zero, as apply_element drops it. No key,
+    and so no vector, depends on which settings the plan holds.
     """
 
     def __init__(self, n_arms: int, settings, members):
@@ -680,9 +690,7 @@ class _PatternSum:
         self.settings = settings = list(settings)
         self.rotated = [s.angles for s in settings if s.angles is not None]
         self.hv = len(self.rotated) < len(settings)
-        # the plan's distinct angles, None for HV
-        angles = [t for row in self.rotated for t in row] + [None] * self.hv
-        self.thetas = {t: i for i, t in enumerate(dict.fromkeys(angles))}
+        self.bases = ["hv"] * self.hv + ["analyzer"] * bool(self.rotated)
         self.terms: dict = {}
         self.singles: dict = {}
         self.pairs: dict = {}
@@ -726,39 +734,42 @@ class _PatternSum:
             _arm_index(slices, keys, self.n_arms)
             for keys in (self.terms, single_keys, pair_keys)
         ]
-        rows, leaves = self._table(list(slices))
-        size = 2**self.n_arms
+        rows, leaves, deltas = self._table(list(slices))
         hv = None
         if self.hv:
             amps = np.array([amp for _, _, amp in self.terms])
             weights = np.fromiter(self.terms.values(), float, len(amps)) * amps**2
-            column = np.full((1, self.n_arms), self.thetas[None])
-            hv = _expand(rows.real, hv_index, column, weights[None], np.zeros((1, size)))[0]
-        angles = np.array(
-            [[self.thetas[t] for t in row] for row in self.rotated], dtype=np.intp
-        ).reshape(len(self.rotated), self.n_arms)
+            hv = _expand(rows[:, self.bases.index("hv")], hv_index, weights)
+        if not self.rotated:
+            return labels, np.zeros((0, 0, 2**self.n_arms)), hv
+        table = rows[:, self.bases.index("analyzer")]
         amps = np.array([amp for _, _, amp in single_keys])
-        vectors = np.zeros((len(self.rotated), len(labels), size))
-        _expand(rows.real, single_index, angles, (sums * amps**2)[None], vectors)
-        if pair_keys:
-            coefs = 2 * pair_sums * np.array([product for _, _, product in pair_keys])
-            scale = _expand(leaves, pair_index, angles, abs(coefs)[None], vectors.copy())
-            _expand(rows, pair_index, angles, coefs[None], vectors)
-            vectors[_cancels(vectors, scale)] = 0.0
+        singles = _expand(table, single_index, sums * amps**2)
+        coefs = 2 * pair_sums * np.array([product for _, _, product in pair_keys])
+        scale = singles + _expand(leaves, pair_index, abs(coefs))
+        # (settings, pair keys): the angle each setting turns a pair key by,
+        # summed arm by arm so that no setting's bits depend on the others
+        turn = sum(map(np.multiply.outer, np.array(self.rotated).T, deltas[pair_index].T))
+        phase = np.exp(-1j * turn)
+        vectors = singles + _expand(table, pair_index, (phase[:, None] * coefs).real)
+        vectors[_cancels(vectors, scale)] = 0.0
         return labels, vectors, hv
 
     def _table(self, slices: list) -> tuple:
-        """(rows, leaves), each (slices, angles of the plan, 2): each arm
-        slice's (first, second) row and, for a pair key's slice, the same
-        sum over the analyzers' leaf magnitudes. A row sums, over the
-        outputs p of the occupied slots, prod_s U[p_s, h_s] conj(U[p_s,
-        h'_s]) times p's firing probabilities (_Branch.weights): U is the
-        slot's analyzer (the identity at HV), h and h' the slots' H counts
-        in the occupation and its partner. A single key's slice is its own
-        partner, so its row is real. Array operations per (branch, photon
-        numbers of the occupied slots, single or pair) build the rows."""
+        """(rows, leaves, deltas) per arm slice: its real (first, second)
+        row in each basis of the plan, shape (slices, bases, 2); for a pair
+        key's slice, the same sum over the analyzers' leaf magnitudes, shape
+        (slices, 2), and its delta, the partner's H count minus the
+        occupation's (0 for a single key's slice). A row sums, over the
+        outputs p of the occupied slots, prod_s U[p_s, h_s] U[p_s, h'_s]
+        times p's firing probabilities (_Branch.weights): U is the slot's
+        matrix in the basis (_stack), h and h' the slots' H counts in the
+        occupation and its partner; a single key's slice is its own
+        partner. Array operations per (branch, photon numbers of the
+        occupied slots, single or pair) build the rows."""
         stack = functools.cache(self._stack)
         groups: dict = {}
+        deltas = np.zeros(len(slices), dtype=np.intp)
         for i, (branch, arm) in enumerate(slices):
             arm, other = arm[: branch.width], arm[branch.width :]
             slots = [s for s in range(0, len(arm), 2) if arm[s] + arm[s + 1]]
@@ -766,42 +777,43 @@ class _PatternSum:
             at, hs = groups.setdefault((branch, ns, not other), ([], []))
             at.append(i)
             hs.append([arm[s] for s in slots] + [other[s] for s in slots if other])
-        pairs = not all(single for _, _, single in groups)
-        rows = np.zeros((len(slices), len(self.thetas), 2), complex if pairs else float)
-        leaves = np.zeros(rows.shape)
+            if other:
+                deltas[i] = sum(other[0::2]) - sum(arm[0::2])
+        rows = np.zeros((len(slices), len(self.bases), 2))
+        leaves = np.zeros((len(slices), 2))
         for (branch, ns, single), (at, hs) in groups.items():
             # the slots' H counts in the occupation, then in its partner
             hs = np.array(hs, dtype=np.intp).reshape(len(at), -1)
             partners = hs if single else hs[:, len(ns) :]
-            # (slices, angles, joint outputs), the first slot slowest
-            product = leaf = np.ones((len(at), len(self.thetas), 1))
+            # (slices, bases, joint outputs) and (slices, joint outputs),
+            # the first slot slowest
+            product = np.ones((len(at), len(self.bases), 1))
+            leaf = np.ones((len(at), 1))
             for n, h, partner in zip(ns, hs.T, partners.T):
-                u, scale = stack(branch, n)
-                if single:
-                    product = _outer(product, abs(u[h]) ** 2)
-                else:
-                    product = _outer(product, u[h] * u[partner].conj())
+                u = stack(branch, n)
+                product = _outer(product, u[h] * u[partner])
+                if not single:
+                    scale = branch.analyzed(n)[1].T
                     leaf = _outer(leaf, scale[h] * scale[partner])
             # summed along each row: no row depends on the plan's other
-            # slices or angles
+            # slices
             weights = branch.weights(ns).T
-            rows[at] = (product[:, :, None] * weights).sum(axis=-1)
+            rows[at] = (product[..., None, :] * weights).sum(axis=-1)
             if not single:
-                leaves[at] = (leaf[:, :, None] * weights).sum(axis=-1)
-        return rows, leaves
+                leaves[at] = (leaf[:, None, :] * weights).sum(axis=-1)
+        return rows, leaves, deltas
 
-    def _stack(self, branch: _Branch, n: int) -> tuple:
-        """An n-photon slot's analyzer matrices under each angle of the plan
-        (the identity at HV), indexed [h, angle, p], and the sums of their
-        entries' leaf magnitudes."""
-        eye = np.eye(n + 1), np.eye(n + 1)
-        u, scale = zip(*(eye if t is None else branch.analyzed(t, n) for t in self.thetas))
-        return tuple(np.array(m).transpose(2, 0, 1) for m in (u, scale))
+    def _stack(self, branch: _Branch, n: int) -> np.ndarray:
+        """An n-photon slot's matrix in each basis of the plan, indexed [h,
+        basis, p]: the identity for HV, the branch's analyzer at angle 0
+        for the rotated settings."""
+        bases = [np.eye(n + 1) if b == "hv" else branch.analyzed(n)[0] for b in self.bases]
+        return np.stack(bases, axis=1).transpose(2, 1, 0)
 
 
 def _outer(product: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """(slices, angles, P) times a slot's (slices, angles, n + 1), it fastest."""
-    return (product[..., None] * factor[..., None, :]).reshape(*product.shape[:2], -1)
+    """(..., P) times a slot's (..., n + 1), it fastest."""
+    return (product[..., None] * factor[..., None, :]).reshape(*product.shape[:-1], -1)
 
 
 def _tally(sums: dict, branch: _Branch, weight: float, terms) -> None:
@@ -832,32 +844,20 @@ def _arm_index(slices: dict, keys, n_arms: int) -> np.ndarray:
     return np.array(index, dtype=np.intp).reshape(len(keys), n_arms)
 
 
-def _expand(table, index, angles, weights, vectors) -> np.ndarray:
-    """vectors plus the weighted sum of the keys' profiles, expanded into
-    pattern vectors with the first arm varying fastest, in place, a block
-    of keys at a time. A key's row on arm a under setting s is
-    table[index[key, a], angles[s, a]]. weights is (settings, keys),
-    folded into each profile from the start, or (1, components, keys),
-    contracted with the finished profiles into vectors of shape (settings,
-    components, 2^n), of complex ones the real part."""
+def _expand(table, index, weights) -> np.ndarray:
+    """The weighted sums of the keys' profiles, weights (..., keys) into
+    pattern vectors (..., 2^n) with the first arm varying fastest, a block
+    of keys at a time. A key's profile is the product of its arm rows,
+    table[index[key, a]] on arm a."""
     n_keys, n_arms = index.shape
+    out = np.zeros(weights.shape[:-1] + (2**n_arms,))
     for start in range(0, n_keys, _PROFILE_BLOCK):
-        block = table[index[None, start : start + _PROFILE_BLOCK], angles[:, None]]
-        w = weights[..., start : start + _PROFILE_BLOCK]
-        prob = w[..., None] if w.ndim == 2 else np.ones(block.shape[:2] + (1,))
+        block = table[index[start : start + _PROFILE_BLOCK]]
+        prob = np.ones((len(block), 1))
         for a in reversed(range(n_arms)):
-            prob = (prob[..., None] * block[:, :, a, None, :]).reshape(
-                len(angles), block.shape[1], -1
-            )
-        if w.ndim == 2:
-            vectors += prob.sum(axis=1)
-        else:
-            # two real products: a complex one can take a threaded BLAS
-            # path that runs a hundred times slower at these sizes
-            vectors += w.real @ prob.real
-            if np.iscomplexobj(prob):
-                vectors -= w.imag @ prob.imag
-    return vectors
+            prob = _outer(prob, block[:, a])
+        out += weights[..., start : start + _PROFILE_BLOCK] @ prob
+    return out
 
 
 def _pattern_vectors(apparatus: Apparatus, members, settings) -> list:
@@ -1153,8 +1153,8 @@ def monte_carlo_counts(
     The patterns draw in one call, element by element in pattern order,
     and a zero mean draws nothing from the stream.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration_s < math.inf:
+        raise ValueError("duration must be positive and finite")
     absolute, _ = _accepted(absolute_outcome_distribution(apparatus, setting))
     stream = np.random.SeedSequence([seed, zlib.crc32(setting.label.encode())])
     rng = np.random.default_rng(stream)

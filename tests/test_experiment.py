@@ -47,7 +47,7 @@ from photonfusion.experiment import (
     setting_from_label,
     synthesizer_visibility,
 )
-from photonfusion.elements import apply_element, element_on
+from photonfusion.elements import analyzer_matrix, apply_element, element_on
 from photonfusion.fock import AmplitudeState, ModeLabel, registry_from
 from photonfusion.sources import TAG_BROAD, TAG_NARROW, PdcSource
 from photonfusion.topology import (
@@ -807,8 +807,11 @@ def test_monte_carlo_draws_match_a_scalar_loop(ideal_star, k):
 
 
 def test_monte_carlo_duration_validated(bright_pair):
-    with pytest.raises(ValueError, match="duration"):
-        monte_carlo_counts(bright_pair, hv_setting(), 0.0, seed=1)
+    # refused before any draw, by CoincidenceHistogram's rule: numpy's
+    # Poisson draw fails on a NaN or infinite mean with "lam value too large"
+    for duration in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            monte_carlo_counts(bright_pair, hv_setting(), duration, seed=1)
 
 
 def test_monte_carlo_total_tracks_expectation(bright_pair):
@@ -1000,6 +1003,23 @@ def test_ideal_star_interference_zeros_match_oracle(ideal_star, k):
     assert_matches_oracle(ideal_star, k_setting(k, 8))
 
 
+def test_turned_triangle_arm_matches_oracle():
+    # three sources fused in a triangle, photons source-marked, one arm
+    # turned to angle 1: interference keys carry the pair-row phase, and
+    # conjugating it on the wrong side, or turning it the wrong way, moves
+    # this distribution by ~90%
+    triangle = FusionTopology(
+        sources=((1, 2), (3, 4), (5, 6)),
+        fusion_edges=((1, 3), (3, 5), (1, 5)),
+        shape="custom",
+    )
+    app = assemble_apparatus(
+        triangle, pair_probability=1.0, synthesizer_overlap=1.0,
+        fusion_overlap=0.0, detector_efficiency=1.0, truncation_pairs=3,
+    )
+    assert_matches_oracle(app, angle_setting((0, 1, 0, 0, 0, 0)))
+
+
 @pytest.mark.parametrize("p", [4e-15, 2e-14, 1e-13])
 def test_small_pair_probability_matches_oracle(p):
     # two-pair amplitudes p/2 of 2e-15 to 5e-14, analyzed down to ~1e-17:
@@ -1078,7 +1098,9 @@ def test_tiny_detector_efficiency_scales_as_its_power(ideal_star):
 
 @pytest.mark.parametrize("marked", [False, True], ids=["interfering", "distinguishable"])
 def test_closed_form_analyzer_matches_apply_element(marked):
-    # every photon number up to 14 at every k*pi/8 and three generic angles
+    # every photon number up to 14 at every k*pi/8 and three generic angles:
+    # the analyzer at angle theta is the one at angle 0 with column h
+    # turned by e^{-i theta (n - h)}, the phase theta puts on n - h V photons
     app = assemble_apparatus(star_topology(2), pair_probability=0.05, fusion_overlap=0.5)
     (branch,) = [b for b in app._branches if b.marked == marked]
     for theta in [k * math.pi / 8 for k in range(16)] + [0.3, 1.234, 5.0]:
@@ -1092,9 +1114,34 @@ def test_closed_form_analyzer_matches_apply_element(marked):
                 state = AmplitudeState(branch.registry, {occ: 1.0 + 0j}, n)
                 for out, a in apply_element(state, element).terms.items():
                     expected[out[0], h] = a
-            got, _ = branch.analyzed(theta, n)
+            turn = np.exp(-1j * theta * (n - np.arange(n + 1)))
+            got = branch.analyzed(n)[0] * turn
             assert np.array_equal(got == 0, expected == 0), (theta, n)
             assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected)), (theta, n)
+
+
+def test_each_branch_applies_its_analyzer_once_at_angle_zero(monkeypatch):
+    # every rotated setting is read off the angle-0 analyzer, so a plan of
+    # 17 angles applies it to one H and one V photon per branch; HV alone
+    # applies none
+    analyzers = []
+    apply = experiment.apply_element
+
+    def counted(state, element):
+        if element.name.startswith("analyzer-"):
+            analyzers.append(element.matrix)
+        return apply(state, element)
+
+    monkeypatch.setattr(experiment, "apply_element", counted)
+    app = assemble_apparatus(
+        star_topology(2), pair_probability=0.05, fusion_overlap=0.5, truncation_pairs=3
+    )
+    absolute_outcome_distributions(app, [hv_setting()])
+    assert analyzers == []
+    plan = [*(k_setting(k, 4) for k in range(16)), angle_setting([0.3, 1.1, 2.0, 5.0])]
+    absolute_outcome_distributions(app, plan)
+    assert len(analyzers) == 2 * len(app._branches) == 4
+    assert all(np.array_equal(m, analyzer_matrix(0.0)) for m in analyzers)
 
 
 def test_plan_builds_the_same_pair_keys_and_one_row_table(monkeypatch):
