@@ -104,6 +104,30 @@ class ExperimentConfig:
     output: OutputSettings = field(default_factory=OutputSettings)
 
 
+def leading_underflow(pair_probability: float, efficiency: float, n_sources: int) -> str:
+    """Why the leading order's accepted probability underflows at this
+    brightness and efficiency, or "" when it does not.
+
+    The leading order, one pair per source, accepts (p/2)^S xi^(2S) per
+    pulse over S sources; each of the 2S arms' analyzers splits that over
+    two outcomes, so the margin 4^S keeps every leading pattern a normal
+    float. p = 0 accepts nothing and does not underflow. The logarithm of
+    p/2 is taken as log p - log 2, since p/2 rounds to 0 at the smallest p.
+    """
+    if pair_probability == 0.0:
+        return ""
+    s = n_sources
+    log_half = math.log(pair_probability) - math.log(2)
+    log_lead = s * log_half + 2 * s * math.log(efficiency)
+    if log_lead >= math.log(sys.float_info.min) + s * math.log(4):
+        return ""
+    return (
+        f"the leading accepted probability (p/2)^{s} xi^{2 * s} = "
+        f"1e{log_lead / math.log(10):.0f} underflows float64 "
+        f"(below 4^{s} times {sys.float_info.min:.3g})"
+    )
+
+
 def _witness_plan(n_arms: int) -> tuple:
     """The run plan of the n-arm witness: HV, then the rotated settings at
     angles j*pi/n for j < n, each named by its k label (k*pi/8). A run
@@ -273,18 +297,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if detection.repetition_rate_hz == 0.0:
         problems.append("detection.repetition_rate_hz must be positive")
     p, xi = sources.pair_probability, detection.efficiency
-    if witness and p > 0.0 and xi > 0.0:
-        # the leading order, one pair per source, accepts (p/2)^S xi^(2S) per
-        # pulse; each of the 2S arms' analyzers splits that over two outcomes,
-        # so the margin 4^S keeps every leading pattern a normal float
-        s = sources.count
-        log_lead = s * math.log(p / 2) + 2 * s * math.log(xi)
-        if log_lead < math.log(sys.float_info.min) + s * math.log(4):
+    if witness and xi > 0.0:
+        underflow = leading_underflow(p, xi, sources.count)
+        if underflow:
             problems.append(
-                f"sources.pair_probability={p} with detection.efficiency={xi}: the "
-                f"leading accepted probability (p/2)^{s} xi^{2 * s} = "
-                f"1e{log_lead / math.log(10):.0f} underflows float64 "
-                f"(below 4^{s} times {sys.float_info.min:.3g})"
+                f"sources.pair_probability={p} with detection.efficiency={xi}: {underflow}"
             )
 
     run_d = _take(top.get("run", {}), "run", RunPlanSettings, problems)

@@ -26,7 +26,9 @@ every photon keeps a mark identifying its source. Each branch of
 nonzero weight is one _Branch, built on first use: its weight, its fusion
 optics compiled from its own elements, and its arm-by-arm detection
 layout. Weights multiply, so any cross-source coherence in the output
-carries the product of all the overlaps involved.
+carries the product of all the overlaps involved, and every accepted
+probability is linear in each overlap: calibration solves an overlap from
+two builds, at its two ends.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import MAX_TRUNCATION, ExperimentConfig, config_topology
+from .config import MAX_TRUNCATION, ExperimentConfig, config_topology, leading_underflow
 from .elements import (
     UNITARITY_TOL,
     analyzer_matrix,
@@ -132,17 +134,23 @@ class Apparatus:
     truncation_pairs: int
 
     def __post_init__(self):
+        p, xi = self.pair_probability, self.detector_efficiency
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("pair_probability must lie in [0, 1]")
         if not 0.0 <= self.fusion_overlap <= 1.0:
             raise ValueError("fusion_overlap must lie in [0, 1]")
-        if not 0.0 < self.detector_efficiency <= 1.0:
+        if not 0.0 < xi <= 1.0:
             raise ValueError("detector_efficiency must lie in (0, 1]")
-        if self.repetition_rate_hz <= 0:
-            raise ValueError("repetition rate must be positive")
+        if not 0.0 < self.repetition_rate_hz < math.inf:
+            raise ValueError("repetition rate must be positive and finite")
         if not 1 <= self.truncation_pairs <= MAX_TRUNCATION:
             # a mode holds at most truncation_pairs photons, in one byte of
             # a packed occupation (_Moved)
             raise ValueError(f"truncation_pairs must lie in 1..{MAX_TRUNCATION}")
-        self.sources  # PdcSource checks the pair probability and overlap
+        underflow = leading_underflow(p, xi, self.topology.n_sources)
+        if underflow:
+            raise ValueError(f"pair_probability={p} with detector_efficiency={xi}: {underflow}")
+        self.sources  # PdcSource checks the synthesizer overlap
 
     @functools.cached_property
     def sources(self) -> tuple:
@@ -477,21 +485,18 @@ class _Moved:
 
 
 def _members(apparatus: Apparatus, patterns):
-    """Yield (weight, supported, branch, k) members of each emission
-    pattern after fusion and compensation: supported lists (occupation,
-    amplitude) of the member's terms with a photon in every arm, the only
-    ones that can fire every arm. The occupation of the branch registry is
-    packed into bytes, arm by arm, and a plan keeps it per key. A member
-    without such a term is not yielded.
+    """Yield (weight, supported, branch) members of each emission pattern
+    after fusion and compensation: supported lists (occupation, amplitude)
+    of the member's terms with a photon in every arm, the only ones that
+    can fire every arm. The occupation of the branch registry is packed
+    into bytes, arm by arm, and a plan keeps it per key. A member without
+    such a term is not yielded.
 
     The weight of a member is the product of its per-source ensemble
     weights and the branch weight; states are unnormalized, so a member's
     accepted probability is weight times the detection value of its
-    amplitudes. k counts the sources whose member is the coherent one, so
-    the weight is gamma_s^k (1 - gamma_s)^(S - k) times the branch weight
-    over S sources: (branch, k) is the member's overlap component. A joint
-    amplitude is a product of nonzero amplitudes, which cannot cancel, so
-    every one is kept.
+    amplitudes. A joint amplitude is a product of nonzero amplitudes,
+    which cannot cancel, so every one is kept.
 
     Each source's ensemble is moved through each branch's compiled fusion
     image once per pair count, and every moved term carries the arms its
@@ -512,27 +517,19 @@ def _members(apparatus: Apparatus, patterns):
             piece = pieces.get((i, n))
             if piece is None:
                 amp = complex(source.process_amplitude**n)
-                coherent = source.spectral_overlap > 0.0
-                # source_ensemble lists the coherent member first
                 piece = pieces[(i, n)] = [
-                    (
-                        w,
-                        coherent and j == 0,
-                        [_Moved(n, hs, amp, b.images[i], b.width) for b in branches],
-                    )
-                    for j, (w, hs) in enumerate(source_ensemble(source, n))
+                    (w, [_Moved(n, hs, amp, b.images[i], b.width) for b in branches])
+                    for w, hs in source_ensemble(source, n)
                 ]
             per_source.append(piece)
         for combo in itertools.product(*per_source):
-            weight = 1.0
-            k = 0
-            for w, coherent, _ in combo:
-                weight *= w
-                k += coherent
+            # in sorted order, so that members with the same overlap factors
+            # carry bitwise the same weight
+            weight = math.prod(sorted(w for w, _ in combo))
             for b, branch in enumerate(branches):
-                supported = _joint_terms(branch, [moved[b] for _, _, moved in combo])
+                supported = _joint_terms(branch, [moved[b] for _, moved in combo])
                 if supported:
-                    yield weight * branch.weight, supported, branch, k
+                    yield weight * branch.weight, supported, branch
 
 
 def _joint_terms(branch: _Branch, parts: list) -> list:
@@ -652,8 +649,8 @@ _PROFILE_BLOCK = 64
 
 class _PatternSum:
     """A run plan's accepted-pattern vectors, one per setting, summed over
-    one stream of (weight, supported, branch, k) members from _members,
-    which hold only the terms with a photon in every arm.
+    one stream of (weight, supported, branch) members from _members, which
+    hold only the terms with a photon in every arm.
 
     An analyzer mixes only terms with equal photon numbers per (arm, tag)
     slot, a coherence class. Over the outputs, a class of terms with
@@ -664,21 +661,20 @@ class _PatternSum:
     and each pair of a class's terms into a pair key (branch, occupation
     and partner occupation arm by arm, a_t conj(a_t')), both holding summed
     weights. HV mixes nothing and reads single keys alone, from its own
-    tally over all members: HV detection is diagonal in occupation and the
-    fusion map is a permutation, so both overlaps drop out of it. The
-    rotated keys hold one weight per overlap component (branch, k)
-    (_members), whose members all carry gamma_s^k (1 - gamma_s)^(S - k)
-    times the branch weight, so one build can be read at any overlaps
-    (_overlap_distributions).
+    tally over all members: HV detection is diagonal in occupation, so
+    each arm's row is the firing probabilities of the key's own photons
+    there. The rotated keys are tallied per member weight, a product of
+    overlaps, and the zero rule below runs weight by weight: where the
+    members of one weight cancel exactly, those of any other weight,
+    however small, still add their exact share.
 
-    A key's firing profile is the product of its arms' rows, read from one
-    table per plan (_table) in at most two bases: the identity for HV and
-    the analyzers at angle 0 for every rotated setting. An analyzer at
-    angle theta is the one at angle 0 behind a phase e^{-i theta} on V
-    (elements.analyzer_matrix), so a single key's rows are the same at
-    every angle, and a setting turns a pair key's profile by
-    e^{-i sum_a theta_a delta_a}, delta_a the partner's H count minus the
-    occupation's on arm a. A component's vector is its single keys' sum
+    A rotated key's firing profile is the product of its arms' rows under
+    the analyzers at angle 0, read from one table per plan (_table). An
+    analyzer at angle theta is the one at angle 0 behind a phase
+    e^{-i theta} on V (elements.analyzer_matrix), so a single key's rows
+    are the same at every angle, and a setting turns a pair key's profile
+    by e^{-i sum_a theta_a delta_a}, delta_a the partner's H count minus
+    the occupation's on arm a. A weight's vector is its single keys' sum
     plus the real part of its turned pair keys'; an entry that cancels
     within the single keys' sum plus the pair keys' leaf magnitudes
     (fock._cancels) is an exact zero, as apply_element drops it. No key,
@@ -690,20 +686,19 @@ class _PatternSum:
         self.settings = settings = list(settings)
         self.rotated = [s.angles for s in settings if s.angles is not None]
         self.hv = len(self.rotated) < len(settings)
-        self.bases = ["hv"] * self.hv + ["analyzer"] * bool(self.rotated)
         self.terms: dict = {}
         self.singles: dict = {}
         self.pairs: dict = {}
         for member in members:
             self.add(*member)
 
-    def add(self, weight: float, supported, branch: _Branch, k: int) -> None:
+    def add(self, weight: float, supported, branch: _Branch) -> None:
         if self.hv:
             _tally(self.terms, branch, weight, supported)
         if not self.rotated:
             return
-        _tally(self.singles.setdefault((branch, k), {}), branch, weight, supported)
-        pairs = self.pairs.setdefault((branch, k), {})
+        _tally(self.singles.setdefault(weight, {}), branch, weight, supported)
+        pairs = self.pairs.setdefault(weight, {})
         classes: dict = {}
         for term in supported:
             classes.setdefault(branch.photons(term[0]), []).append(term)
@@ -717,57 +712,52 @@ class _PatternSum:
 
     def vectors(self) -> list:
         """One vector per setting, in order; HV settings share theirs."""
-        _, components, hv = self.components()
-        rotated = iter(components.sum(axis=1))
-        return [hv if s.angles is None else next(rotated) for s in self.settings]
-
-    def components(self) -> tuple:
-        """The overlap components (branch, k) of the members added, in
-        first-seen order, the rotated settings' vectors per component, shape
-        (rotated settings, components, 2^n), and the HV vector (None
-        without HV)."""
-        labels = list(self.singles)
-        single_keys, sums = _stacked(self.singles, labels)
-        pair_keys, pair_sums = _stacked(self.pairs, labels)
+        weights = list(self.singles)
+        single_keys, sums = _stacked(self.singles, weights)
+        pair_keys, pair_sums = _stacked(self.pairs, weights)
         slices: dict = {}
         hv_index, single_index, pair_index = [
             _arm_index(slices, keys, self.n_arms)
             for keys in (self.terms, single_keys, pair_keys)
         ]
-        rows, leaves, deltas = self._table(list(slices))
+        hv_rows, rows, leaves, deltas = self._table(list(slices))
         hv = None
         if self.hv:
             amps = np.array([amp for _, _, amp in self.terms])
-            weights = np.fromiter(self.terms.values(), float, len(amps)) * amps**2
-            hv = _expand(rows[:, self.bases.index("hv")], hv_index, weights)
-        if not self.rotated:
-            return labels, np.zeros((0, 0, 2**self.n_arms)), hv
-        table = rows[:, self.bases.index("analyzer")]
-        amps = np.array([amp for _, _, amp in single_keys])
-        singles = _expand(table, single_index, sums * amps**2)
-        coefs = 2 * pair_sums * np.array([product for _, _, product in pair_keys])
-        scale = singles + _expand(leaves, pair_index, abs(coefs))
-        # (settings, pair keys): the angle each setting turns a pair key by,
-        # summed arm by arm so that no setting's bits depend on the others
-        turn = sum(map(np.multiply.outer, np.array(self.rotated).T, deltas[pair_index].T))
-        phase = np.exp(-1j * turn)
-        vectors = singles + _expand(table, pair_index, (phase[:, None] * coefs).real)
-        vectors[_cancels(vectors, scale)] = 0.0
-        return labels, vectors, hv
+            sums_hv = np.fromiter(self.terms.values(), float, len(amps)) * amps**2
+            hv = _expand(hv_rows, hv_index, sums_hv)
+        rotated = iter(())
+        if self.rotated:
+            # (weights, 2^n), then (settings, weights, 2^n)
+            amps = np.array([amp for _, _, amp in single_keys])
+            singles = _expand(rows, single_index, sums * amps**2)
+            coefs = 2 * pair_sums * np.array([product for _, _, product in pair_keys])
+            scale = singles + _expand(leaves, pair_index, abs(coefs))
+            # (settings, pair keys): the angle each setting turns a pair key
+            # by, summed arm by arm so that no setting's bits depend on the
+            # others
+            turn = sum(map(np.multiply.outer, np.array(self.rotated).T, deltas[pair_index].T))
+            phase = np.exp(-1j * turn)
+            vectors = singles + _expand(rows, pair_index, (phase[:, None] * coefs).real)
+            vectors[_cancels(vectors, scale)] = 0.0
+            rotated = iter(vectors.sum(axis=1))
+        return [hv if s.angles is None else next(rotated) for s in self.settings]
 
     def _table(self, slices: list) -> tuple:
-        """(rows, leaves, deltas) per arm slice: its real (first, second)
-        row in each basis of the plan, shape (slices, bases, 2); for a pair
-        key's slice, the same sum over the analyzers' leaf magnitudes, shape
-        (slices, 2), and its delta, the partner's H count minus the
-        occupation's (0 for a single key's slice). A row sums, over the
-        outputs p of the occupied slots, prod_s U[p_s, h_s] U[p_s, h'_s]
-        times p's firing probabilities (_Branch.weights): U is the slot's
-        matrix in the basis (_stack), h and h' the slots' H counts in the
-        occupation and its partner; a single key's slice is its own
-        partner. Array operations per (branch, photon numbers of the
-        occupied slots, single or pair) build the rows."""
-        stack = functools.cache(self._stack)
+        """(hv, rows, leaves, deltas) per arm slice, (branch, the slice's
+        bytes, then its partner's for a pair key's slice; a single key's
+        slice is its own partner), each row a real (first, second) pair.
+        hv is a single key's slice's HV row: the firing probabilities of
+        its slots' photons (_Branch.weights at output p = h, h the slots' H
+        counts). A row sums, over the outputs p of the occupied slots,
+        prod_s U[p_s, h_s] U[p_s, h'_s] times p's firing probabilities: U is
+        the slot's analyzer at angle 0 (_Branch.analyzed), h and h' the
+        slots' H counts in the occupation and its partner. leaves is the
+        same sum over the analyzers' leaf magnitudes for a pair key's slice,
+        and delta its partner's H count minus the occupation's (0 for a
+        single key's slice). Each is built only for a plan that reads it,
+        so a plan without a rotated setting reads no analyzer. Array operations per (branch, photon numbers
+        of the occupied slots, single or pair) build the rows."""
         groups: dict = {}
         deltas = np.zeros(len(slices), dtype=np.intp)
         for i, (branch, arm) in enumerate(slices):
@@ -779,36 +769,25 @@ class _PatternSum:
             hs.append([arm[s] for s in slots] + [other[s] for s in slots if other])
             if other:
                 deltas[i] = sum(other[0::2]) - sum(arm[0::2])
-        rows = np.zeros((len(slices), len(self.bases), 2))
-        leaves = np.zeros((len(slices), 2))
+        hv, rows, leaves = np.zeros((3, len(slices), 2))
         for (branch, ns, single), (at, hs) in groups.items():
             # the slots' H counts in the occupation, then in its partner
             hs = np.array(hs, dtype=np.intp).reshape(len(at), -1)
+            weights = branch.weights(ns)
+            if single and self.hv:
+                hv[at] = weights[np.ravel_multi_index(tuple(hs.T), [n + 1 for n in ns])]
+            if not self.rotated:
+                continue
             partners = hs if single else hs[:, len(ns) :]
-            # (slices, bases, joint outputs) and (slices, joint outputs),
-            # the first slot slowest
-            product = np.ones((len(at), len(self.bases), 1))
-            leaf = np.ones((len(at), 1))
-            for n, h, partner in zip(ns, hs.T, partners.T):
-                u = stack(branch, n)
-                product = _outer(product, u[h] * u[partner])
-                if not single:
-                    scale = branch.analyzed(n)[1].T
-                    leaf = _outer(leaf, scale[h] * scale[partner])
-            # summed along each row: no row depends on the plan's other
-            # slices
-            weights = branch.weights(ns).T
-            rows[at] = (product[..., None, :] * weights).sum(axis=-1)
+            slots = list(zip([branch.analyzed(n) for n in ns], hs.T, partners.T))
+            # (slices, joint outputs), the first slot slowest, each summed
+            # along its row: no row depends on the plan's other slices
+            product = functools.reduce(_outer, [u.T[h] * u.T[p] for (u, _), h, p in slots])
+            rows[at] = (product[:, None, :] * weights.T).sum(axis=-1)
             if not single:
-                leaves[at] = (leaf[:, None, :] * weights).sum(axis=-1)
-        return rows, leaves, deltas
-
-    def _stack(self, branch: _Branch, n: int) -> np.ndarray:
-        """An n-photon slot's matrix in each basis of the plan, indexed [h,
-        basis, p]: the identity for HV, the branch's analyzer at angle 0
-        for the rotated settings."""
-        bases = [np.eye(n + 1) if b == "hv" else branch.analyzed(n)[0] for b in self.bases]
-        return np.stack(bases, axis=1).transpose(2, 1, 0)
+                leaf = functools.reduce(_outer, [s.T[h] * s.T[p] for (_, s), h, p in slots])
+                leaves[at] = (leaf[:, None, :] * weights.T).sum(axis=-1)
+        return hv, rows, leaves, deltas
 
 
 def _outer(product: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -822,14 +801,14 @@ def _tally(sums: dict, branch: _Branch, weight: float, terms) -> None:
         sums[key] = sums.get(key, 0.0) + weight
 
 
-def _stacked(tallies: dict, labels: list) -> tuple:
-    """The keys of per-component tallies, in first-seen order, and their
-    summed weights, shape (components, keys)."""
+def _stacked(tallies: dict, weights: list) -> tuple:
+    """The keys of per-weight tallies, in first-seen order, and their
+    summed weights, shape (weights, keys)."""
     keys = list(dict.fromkeys(key for tally in tallies.values() for key in tally))
     index = {key: i for i, key in enumerate(keys)}
-    sums = np.zeros((len(labels), len(keys)))
-    for c, label in enumerate(labels):
-        sums[c, [index[key] for key in tallies[label]]] = list(tallies[label].values())
+    sums = np.zeros((len(weights), len(keys)))
+    for row, weight in zip(sums, weights):
+        row[[index[key] for key in tallies[weight]]] = list(tallies[weight].values())
     return keys, sums
 
 
@@ -978,12 +957,15 @@ def parity_visibility(apparatus: Apparatus) -> float:
     """Signed parity correlation at analyzer angle zero, conditioned on
     an accepted coincidence; the simulated analog of an interference
     visibility measurement on this apparatus."""
+    return _parity_reading(apparatus)[0]
+
+
+def _parity_reading(apparatus: Apparatus) -> tuple:
+    """(parity visibility, accepted total) at analyzer angle zero."""
     absolute = absolute_outcome_distribution(apparatus, k_setting(0, apparatus.n_arms))
-    return _parity(*_accepted(absolute))
-
-
-def _parity(absolute: dict, total: float) -> float:
-    return sum(((-1) ** pat.count("-")) * (p / total) for pat, p in absolute.items())
+    absolute, total = _accepted(absolute)
+    parity = sum(((-1) ** pat.count("-")) * (p / total) for pat, p in absolute.items())
+    return parity, total
 
 
 def synthesizer_visibility(
@@ -1032,63 +1014,21 @@ def fusion_visibility(
     )
 
 
-def _overlap_factor(apparatus: Apparatus, component: tuple) -> float:
-    """The weight every member of component (branch, k) carries at the
-    apparatus's overlaps: gamma_s^k (1 - gamma_s)^(S - k) over S sources,
-    times the branch weight."""
-    branch, k = component
-    gamma_s, gamma_f = apparatus.synthesizer_overlap, apparatus.fusion_overlap
-    fusion = 1.0 - gamma_f if branch.marked else gamma_f
-    return gamma_s**k * (1.0 - gamma_s) ** (apparatus.topology.n_sources - k) * fusion
-
-
-def _overlap_distributions(
-    apparatus: Apparatus, setting: MeasurementSetting, overlaps
-) -> list:
-    """absolute_outcome_distribution(replace(apparatus, **o), setting) for
-    a rotated setting and each o in overlaps, a dict of
-    synthesizer_overlap and fusion_overlap values, read off this
-    apparatus's one build.
-
-    The setting's vector is the sum of its overlap components
-    (_PatternSum.components), and every member of a component carries one
-    weight, a product of overlap factors (_overlap_factor). So the vector at
-    other overlaps rescales each component by the ratio of its weights
-    there and here. An overlap that changes must lie strictly inside
-    (0, 1) here, where every component has weight.
-    """
-    plan = _PatternSum(apparatus.n_arms, [setting], _all_members(apparatus))
-    labels, components, _ = plan.components()
-    here = np.array([_overlap_factor(apparatus, c) for c in labels])
-    out = []
-    for overlap in overlaps:
-        target = replace(apparatus, **overlap)
-        there = np.array([_overlap_factor(target, c) for c in labels])
-        out.append(_distribution(apparatus, setting, (there / here) @ components[0]))
-    return out
-
-
 def _solve_overlap(apparatus: Apparatus, overlap: str, target: float) -> float:
     """The value g in [0, 1] of the named overlap at which the apparatus
-    shows parity visibility target, V(g) = a(g)/c(g), a and c linear in g.
-
-    The apparatus is built once, at g = 1/2, and read at g = 0 and 1
-    (_overlap_distributions). At 1/2 every weight that g enters is a
-    power of two, so the ratios that read the two ends are exactly 2 and
-    0: each end's vector is the sum of doubled components, the same terms
-    a build at that end sums, up to the order of summation.
-    """
-    half = replace(apparatus, **{overlap: 0.5})
-    ends = []
-    reads = [{overlap: 0.0}, {overlap: 1.0}]
-    for dist in _overlap_distributions(half, k_setting(0, half.n_arms), reads):
-        absolute, total = _accepted(dist)
-        ends.append((_parity(absolute, total), total))
-    (v0, c0), (v1, c1) = ends
+    shows parity visibility target, V(g) = a(g)/c(g), a and c linear in g:
+    the signed parity sum a and the accepted total c are read off two
+    builds, at g = 0 and g = 1. Where both ends show the target, every g
+    does, and none is returned."""
+    (v0, c0), (v1, c1) = (
+        _parity_reading(replace(apparatus, **{overlap: g})) for g in (0.0, 1.0)
+    )
     below = c0 * (target - v0)
     above = c1 * (v1 - target)
     if not (below >= 0.0 and above >= 0.0):
         raise ValueError(f"target visibility {target} unreachable at this brightness")
+    if below == above == 0.0:
+        raise ValueError(f"{overlap} not determined: visibility {target} at every value")
     return below / (below + above)
 
 
@@ -1114,10 +1054,9 @@ def calibrate_overlaps(
     and its split members by 1-g, and the fusion overlap weights the
     interfering and source-marked branches the same way. So the signed
     parity sum a(g) and the accepted total c(g) are linear, and
-    a(g) = target * c(g) is solved from D(0) and D(1). Each inversion
-    builds its apparatus once, at g = 1/2, where D(0) and D(1) are the
-    build's overlap components doubled or dropped, exact in binary
-    (_solve_overlap). A target outside [V(0), V(1)] raises.
+    a(g) = target * c(g) is solved from D(0) and D(1), each the
+    distribution of one build at that end (_solve_overlap). A target
+    outside [V(0), V(1)] raises.
     """
     single = assemble_apparatus(
         single_source_topology(),
