@@ -3,7 +3,10 @@
 Everything here is a pure function of recorded counts. Probabilities are
 conditional on an accepted event; error bars come from first-order error
 propagation treating the pattern counts as Poisson draws, which keeps
-the correlation induced by the shared total.
+the correlation induced by the shared total. Every observable is a linear
+form Σ c_i N_i / N read by one function, _linear, and every float sum is
+taken left to right (records._left_sum), so a report's digits are the
+same on every Python.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .records import CoincidenceHistogram, DetectionPattern
+from .records import CoincidenceHistogram, DetectionPattern, _left_sum
 
 __all__ = [
     "ObservableResult",
@@ -91,37 +94,33 @@ class WitnessReport:
 # ---- Counting statistics ----
 
 
-def _counts_and_total(hist: CoincidenceHistogram):
-    total = hist.total
-    if total <= 0:
-        raise ValueError("histogram has no events")
-    return hist.counts, total
-
-
-def poisson_propagate(linear_form, hist: CoincidenceHistogram) -> float:
-    """One-sigma error of f = Σ c_i N_i / N_total.
+def _linear(coeffs, hist: CoincidenceHistogram) -> ObservableResult:
+    """f = Σ c_i N_i / N, with coeffs in the histogram's pattern order, its
+    one-sigma Poisson error and N.
 
     First-order propagation with each count Poissonian; the (c_i − f)
     form carries the anticorrelation from normalizing by the total, so a
     coefficient pattern the histogram already saturates gives zero. An
     exact histogram has no counting error, so it gives zero too.
     """
-    counts, total = _counts_and_total(hist)
+    total = hist.total
+    if total <= 0:
+        raise ValueError("histogram has no events")
+    pairs = list(zip(coeffs, hist.counts.values()))
+    f = _left_sum(c * n for c, n in pairs) / total
     if hist.exact:
-        return 0.0
-    if callable(linear_form):
-        coeffs = [float(linear_form(pat)) for pat in counts]
+        sigma = 0.0
     else:
-        coeffs = [float(linear_form.get(pat, 0.0)) for pat in counts]
-    return _propagate(coeffs, counts.values(), total)
+        sigma = math.sqrt(_left_sum((c - f) ** 2 * n for c, n in pairs) / total**2)
+    return ObservableResult(f, sigma, int(round(total)))
 
 
-def _propagate(coeffs, counts, total) -> float:
-    """poisson_propagate from the coefficients and counts in pattern order."""
-    pairs = list(zip(coeffs, counts))
-    f = sum(c * n for c, n in pairs) / total
-    var = sum((c - f) ** 2 * n for c, n in pairs) / total**2
-    return math.sqrt(var)
+def poisson_propagate(linear_form, hist: CoincidenceHistogram) -> float:
+    """One-sigma Poisson error of f = Σ c_i N_i / N_total (_linear), the
+    coefficients given as a dict over patterns (absent ones 0) or as a
+    function of the pattern."""
+    form = linear_form if callable(linear_form) else lambda pat: linear_form.get(pat, 0.0)
+    return _linear([float(form(pat)) for pat in hist.counts], hist).sigma
 
 
 # ---- Observables ----
@@ -131,32 +130,24 @@ def populations(hist: CoincidenceHistogram) -> PopulationSummary:
     """Signal fractions of an HV-basis histogram, with Poisson errors."""
     if hist.setting.angles is not None:
         raise ValueError("populations needs a computational-basis histogram")
-    counts, total = _counts_and_total(hist)
-    width = len(next(iter(counts)).bits)
+    counts = hist.counts
+    # an empty histogram has no events, which _linear refuses
+    width = len(next(iter(counts)).bits) if counts else 1
     all_h = DetectionPattern("H" * width)
     all_v = DetectionPattern("V" * width)
+    res_h, res_v, combined = (
+        _linear([float(pat in signal) for pat in counts], hist)
+        for signal in ((all_h,), (all_v,), (all_h, all_v))
+    )
     n_h = counts.get(all_h, 0)
     n_v = counts.get(all_v, 0)
-    res_h = ObservableResult(
-        n_h / total, poisson_propagate({all_h: 1.0}, hist), int(round(total))
-    )
-    res_v = ObservableResult(
-        n_v / total, poisson_propagate({all_v: 1.0}, hist), int(round(total))
-    )
-    combined = ObservableResult(
-        (n_h + n_v) / total,
-        poisson_propagate({all_h: 1.0, all_v: 1.0}, hist),
-        int(round(total)),
-    )
     noise = [n for pat, n in counts.items() if pat not in (all_h, all_v)]
-    noise_mean = sum(noise) / len(noise) if noise else 0.0
+    noise_mean = _left_sum(noise) / len(noise) if noise else 0.0
     if noise_mean > 0:
         snr, unbounded = ((n_h + n_v) / 2) / noise_mean, False
     else:
         snr, unbounded = None, True
-    return PopulationSummary(
-        res_h, res_v, combined, snr, unbounded, width, int(round(total))
-    )
+    return PopulationSummary(res_h, res_v, combined, snr, unbounded, width, combined.n_events)
 
 
 def m_k_expectation(hist: CoincidenceHistogram) -> ObservableResult:
@@ -170,11 +161,7 @@ def m_k_expectation(hist: CoincidenceHistogram) -> ObservableResult:
         raise ValueError("m_k_expectation needs a rotated-basis histogram")
     if len(set(setting.angles)) != 1:
         raise ValueError("analyzer angles differ between arms")
-    counts, total = _counts_and_total(hist)
-    parities = [-1 if pat.bits.count("-") % 2 else 1 for pat in counts]
-    value = sum(c * n for c, n in zip(parities, counts.values())) / total
-    sigma = 0.0 if hist.exact else _propagate(map(float, parities), counts.values(), total)
-    return ObservableResult(value, sigma, int(round(total)))
+    return _linear([-1.0 if pat.count("-") % 2 else 1.0 for pat in hist.counts], hist)
 
 
 # ---- Witness assembly ----
@@ -199,11 +186,9 @@ def fidelity_witness(population: PopulationSummary, correlations) -> WitnessRepo
         0.5 * population.combined.sigma,
         population.combined.n_events,
     )
-    m_sum = sum(((-1) ** k) * res.value for k, res in terms)
+    m_sum = _left_sum(((-1) ** k) * res.value for k, res in terms)
     fidelity = pop_term.value + m_sum / (2 * n)
-    var = pop_term.sigma**2 + sum(
-        (res.sigma / (2 * n)) ** 2 for _, res in terms
-    )
+    var = pop_term.sigma**2 + _left_sum((res.sigma / (2 * n)) ** 2 for _, res in terms)
     sigma = math.sqrt(var)
     events = pop_term.n_events + sum(res.n_events for _, res in terms)
     result = ObservableResult(fidelity, sigma, events)

@@ -168,6 +168,11 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    """The integer rule of every integer field: an int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _number(data, key, where, problems, default, lo, hi):
     if key not in data:
         return default
@@ -189,7 +194,7 @@ def _integer(data, key, where, problems, default, lo, hi=None):
     if key not in data:
         return default
     value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_integer(value):
         problems.append(f"{where}.{key} must be an integer")
         return default
     if value < lo:

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import MAX_TRUNCATION, ExperimentConfig, config_topology, leading_underflow
+from .config import MAX_TRUNCATION, ExperimentConfig, _is_integer, config_topology, leading_underflow
 from .elements import (
     UNITARITY_TOL,
     analyzer_matrix,
@@ -64,6 +64,7 @@ from .records import (
     DetectionPattern,
     MeasurementSetting,
     _detection_patterns,
+    _left_sum,
     all_detection_patterns,
     angle_setting,
     histogram_from_lines,
@@ -143,6 +144,8 @@ class Apparatus:
             raise ValueError("detector_efficiency must lie in (0, 1]")
         if not 0.0 < self.repetition_rate_hz < math.inf:
             raise ValueError("repetition rate must be positive and finite")
+        if not _is_integer(self.truncation_pairs):
+            raise ValueError(f"truncation_pairs must be an integer, not {self.truncation_pairs!r}")
         if not 1 <= self.truncation_pairs <= MAX_TRUNCATION:
             # a mode holds at most truncation_pairs photons, in one byte of
             # a packed occupation (_Moved)
@@ -889,10 +892,10 @@ def _all_members(apparatus: Apparatus):
 
 
 def _distribution(apparatus: Apparatus, setting: MeasurementSetting, vector) -> dict:
-    """A pattern vector as a distribution. Its keys are shared by every
-    distribution of this shape, and exact zeros (254 of the 256 HV
-    patterns of the default star) share one 0.0, so callers that keep many
-    distributions keep them small."""
+    """A pattern vector as a distribution, keyed by the one DetectionPattern
+    object per pattern. Exact zeros (254 of the 256 HV patterns of the
+    default star) share one 0.0, so callers that keep many distributions
+    keep them small."""
     patterns = _detection_patterns(apparatus.n_arms, setting.symbols)
     return {pat: v or 0.0 for pat, v in zip(patterns, vector.tolist())}
 
@@ -912,7 +915,7 @@ def absolute_outcome_distribution(
 def _accepted(absolute: dict) -> tuple:
     """An absolute distribution and its total; raises when it accepts
     nothing, so no run plan reads as zero events."""
-    total = sum(absolute.values())
+    total = _left_sum(absolute.values())
     if total <= 0.0:
         raise ValueError("no accepted coincidences under this truncation")
     return absolute, total
@@ -964,7 +967,7 @@ def _parity_reading(apparatus: Apparatus) -> tuple:
     """(parity visibility, accepted total) at analyzer angle zero."""
     absolute = absolute_outcome_distribution(apparatus, k_setting(0, apparatus.n_arms))
     absolute, total = _accepted(absolute)
-    parity = sum(((-1) ** pat.count("-")) * (p / total) for pat, p in absolute.items())
+    parity = _left_sum(((-1) ** pat.count("-")) * (p / total) for pat, p in absolute.items())
     return parity, total
 
 

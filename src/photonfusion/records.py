@@ -3,13 +3,21 @@ coincidence histograms, and the histogram file format.
 
 These are plain records with no numerical engine behind them, so reading
 and analyzing a run needs neither numpy nor the simulator in experiment,
-which fills them from computed distributions.
+which fills them from computed distributions. There is one
+DetectionPattern object per symbol string, so every distribution and
+every histogram file keys its patterns with the same objects.
+
+Every float sum that reaches an output goes through _left_sum, which adds
+left to right as builtins.sum did before Python 3.12; from 3.12 sum
+compensates float rounding, so the same counts would write different
+digits on different Pythons.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import typing
 from dataclasses import dataclass
 
 __all__ = [
@@ -24,6 +32,15 @@ __all__ = [
     "histogram_to_lines",
     "histogram_from_lines",
 ]
+
+
+def _left_sum(values):
+    """The sum of values, adding left to right with one rounding per
+    addition, on every Python."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 # ---- Measurement settings ----
@@ -96,17 +113,42 @@ def setting_from_label(label: str, n_arms: int = 8) -> MeasurementSetting:
 _PATTERN_SYMBOLS = frozenset("HV+-")
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
+@dataclass(frozen=True, eq=False, init=False)
 class DetectionPattern:
-    """One symbol per output arm, arms in ascending label order."""
+    """One symbol per output arm, arms in ascending label order.
+
+    DetectionPattern(bits) returns the one object for its symbol string,
+    so patterns hash and compare by identity and sort by their symbols;
+    copies and unpickled patterns are that object too.
+    """
 
     bits: str
+    _shared: typing.ClassVar[dict] = {}
 
-    def __post_init__(self):
-        if not self.bits or not set(self.bits) <= _PATTERN_SYMBOLS:
-            raise ValueError(f"bad pattern {self.bits!r}")
-        if not (set(self.bits) <= {"H", "V"} or set(self.bits) <= {"+", "-"}):
-            raise ValueError(f"pattern {self.bits!r} mixes basis symbols")
+    def __new__(cls, bits):
+        if not isinstance(bits, str):
+            raise ValueError(f"bad pattern {bits!r}")
+        pat = cls._shared.get(bits)
+        if pat is None:
+            symbols = set(bits)
+            if not symbols or not symbols <= _PATTERN_SYMBOLS:
+                raise ValueError(f"bad pattern {bits!r}")
+            if not (symbols <= {"H", "V"} or symbols <= {"+", "-"}):
+                raise ValueError(f"pattern {bits!r} mixes basis symbols")
+            pat = object.__new__(cls)
+            object.__setattr__(pat, "bits", bits)
+            # threads that race to build one pattern all keep the first
+            pat = cls._shared.setdefault(bits, pat)
+        return pat
+
+    def __reduce__(self):
+        return DetectionPattern, (self.bits,)
+
+    def __lt__(self, other):
+        if not isinstance(other, DetectionPattern):
+            return NotImplemented
+        return self.bits < other.bits
 
     def __str__(self) -> str:
         return self.bits
@@ -122,8 +164,8 @@ def all_detection_patterns(n_arms: int, symbols=("H", "V")) -> list:
 
 @functools.lru_cache(maxsize=32)
 def _detection_patterns(n_arms: int, symbols: tuple) -> tuple:
-    """all_detection_patterns, built once per width and basis so that every
-    distribution of that shape shares its (immutable) keys."""
+    """all_detection_patterns, built once per width and basis; every
+    distribution of that shape keys its values with this tuple's order."""
     first, second = symbols
     out = []
     for i in range(2**n_arms):
@@ -132,16 +174,6 @@ def _detection_patterns(n_arms: int, symbols: tuple) -> tuple:
         )
         out.append(DetectionPattern(bits))
     return tuple(out)
-
-
-@functools.lru_cache(maxsize=32)
-def _pattern_index(n_arms: int) -> dict:
-    """The shared keys of both bases at one width, by their bits."""
-    return {
-        pat.bits: pat
-        for symbols in (("H", "V"), ("+", "-"))
-        for pat in _detection_patterns(n_arms, symbols)
-    }
 
 
 @dataclass(frozen=True)
@@ -164,7 +196,7 @@ class CoincidenceHistogram:
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return _left_sum(self.counts.values())
 
 
 # ---- Histogram files ----
@@ -189,10 +221,6 @@ def histogram_from_lines(lines) -> CoincidenceHistogram:
         raise ValueError(f"bad histogram header {lines[0]!r}")
     label, duration, seed = head[:3]
     rows = [line.partition(",") for line in lines[1:] if line.strip()]
-    # a file with a row per pattern of its width reads into the shared keys;
-    # any other row is checked as a new pattern
-    width = len(rows[0][0]) if rows else 0
-    known = _pattern_index(width) if 0 < width and 2**width <= len(rows) else {}
     counts = {}
     for bits, _, count in rows:
         # a count reads back as the type it was written from, so an exact
@@ -201,9 +229,7 @@ def histogram_from_lines(lines) -> CoincidenceHistogram:
             value = int(count)
         except ValueError:
             value = float(count)
-        pat = known.get(bits)
-        if pat is None:
-            pat = DetectionPattern(bits)
+        pat = DetectionPattern(bits)
         if pat in counts:
             raise ValueError(f"duplicate pattern row {bits!r}")
         counts[pat] = value

@@ -1,5 +1,6 @@
 """Tests for histogram observables and the witness assembly."""
 
+import builtins
 import json
 import math
 
@@ -230,6 +231,38 @@ def test_fidelity_stays_in_witness_range():
             hists.append(CoincidenceHistogram(k_setting(k), counts, 1.0, 0))
         report = witness_from_histograms(hists)
         assert -1.0 <= report.fidelity.value <= 1.0
+
+
+def hand_built_run(exact):
+    """A fixed witness input whose float sums round differently left to
+    right than compensated: odd counts, or their probabilities."""
+    hists = []
+    for k, setting in enumerate([hv_setting()] + [k_setting(k) for k in range(8)]):
+        patterns = all_detection_patterns(8, setting.symbols)
+        counts = {p: (37 * i * i + 11 * k + 5) % 97 + 1 for i, p in enumerate(patterns)}
+        if exact:
+            total = sum(counts.values())
+            counts = {p: n / total for p, n in counts.items()}
+        hists.append(CoincidenceHistogram(setting, counts, 1.0, 0, exact=exact))
+    return hists
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+def test_witness_digits_do_not_depend_on_how_sum_rounds(monkeypatch, exact):
+    # Python 3.12 made builtins.sum compensate float rounding; a report
+    # summed left to right reads the same under a compensated sum
+    hists = hand_built_run(exact)
+    expected = witness_from_histograms(hists).to_dict()
+    plain_sum = builtins.sum
+
+    def compensated_sum(values, start=0):
+        values = list(values)
+        if any(isinstance(v, float) for v in values):
+            return start + math.fsum(values)
+        return plain_sum(values, start)
+
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert witness_from_histograms(hists).to_dict() == expected
 
 
 def test_missing_ingredients_rejected():

@@ -1,12 +1,20 @@
-"""The histogram file format, read back from what it writes."""
+"""The histogram file format, read back from what it writes, and the one
+object per detection pattern."""
 
+import copy
+import itertools
 import math
+import pickle
+import sys
+import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonfusion.records import (
     CoincidenceHistogram,
+    DetectionPattern,
     all_detection_patterns,
     angle_setting,
     histogram_from_lines,
@@ -49,3 +57,49 @@ def test_histogram_lines_round_trip(hist):
     back = histogram_from_lines(lines)
     assert back == hist
     assert histogram_to_lines(back) == lines
+
+
+def test_one_object_per_pattern():
+    pat = DetectionPattern("HVHVHV")
+    assert DetectionPattern("HVHVHV") is pat
+    read = histogram_from_lines(["HV,1.0,0", "HVHVHV,3"])
+    assert next(iter(read.counts)) is pat
+    assert copy.copy(pat) is pat
+    assert copy.deepcopy(pat) is pat
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(pat, protocol)) is pat
+    names = ["-+-", "+--", "---", "+++", "-++"]
+    assert [str(p) for p in sorted(map(DetectionPattern, names))] == sorted(names)
+    assert DetectionPattern("+--") < DetectionPattern("-+-") <= DetectionPattern("-+-")
+
+
+@pytest.mark.parametrize("bits", [["H", "V"], ("+", "-"), b"HV", None, 7])
+def test_detection_pattern_refuses_a_non_string(bits):
+    with pytest.raises(ValueError, match="bad pattern"):
+        DetectionPattern(bits)
+
+
+def test_threads_building_one_new_pattern_share_it():
+    # 13-arm patterns, which no other test builds; a short switch interval
+    # lets a thread lose the GIL between looking a pattern up and storing it
+    fresh = ["".join(arms) for arms in itertools.product("+-", repeat=13)][:2000]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    start = threading.Barrier(8)
+    built = [None] * 8
+
+    def build(i):
+        start.wait()
+        built[i] = [DetectionPattern(bits) for bits in fresh]
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    for row in zip(*built):
+        assert all(pat is row[0] for pat in row)
