@@ -1,33 +1,29 @@
-"""Linear optical elements and their exact action on Fock states.
+"""Linear optical elements and their action on one photon.
 
-An element is a unitary matrix over a small set of registry modes. Its
-action rewrites each input creation operator as a combination of output
-creation operators; the induced map on occupation-number states is worked
-out term by term with multinomial expansions, so multi-photon interference
-(bunching, dips) comes out exactly.
-
+An element is a unitary matrix over a small set of registry modes.
 Matrix convention: columns index input modes, rows index output modes. A
 creation operator on input j becomes sum_k U[k, j] a+_k. Photon number is
 conserved, and unitarity is enforced at construction time.
 
-The simulator does not push whole states through elements. The
-experiment module compiles its optics from them: it applies the fusion
-elements and each branch's analyzer at angle 0 to one-photon states,
-builds a slot's n-photon analyzer amplitudes from the analyzer's
-one-photon ones in closed form, reads every other angle as a phase on V
-photons (analyzer_matrix), and moves every ensemble member with the
-maps read off those.
+The simulator reads its optics one photon at a time, so apply_element
+moves one photon: the experiment module applies the fusion elements and
+each branch's analyzer at angle 0 to one-photon states, builds a slot's
+n-photon analyzer amplitudes from the analyzer's one-photon ones in
+closed form, reads every other angle as a phase on V photons
+(analyzer_matrix), and moves every ensemble member with the maps read
+off those. The multinomial action of an element on many photons, which
+those closed forms must reproduce, is the test suite's oracle
+(tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import AmplitudeState, ModeRegistry, _cancels
-from .topology import _compositions
 
 UNITARITY_TOL = 1e-12
 
@@ -37,7 +33,6 @@ class LinearElement:
     name: str
     mode_indices: tuple
     matrix: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -51,35 +46,6 @@ class LinearElement:
         if dev > UNITARITY_TOL:
             raise ValueError(f"{self.name}: matrix is not unitary (deviation {dev:.3e})")
 
-    def _expansion(self, j: int, n: int):
-        """All ways to send n photons from input j into the outputs.
-
-        Returns [(counts_per_output, coefficient, its magnitude)], where the
-        coefficient is the multinomial weight n!/prod(t!) times
-        prod U[k, j]^t_k.
-        Cached per element instance; the same (input, count) pair shows up
-        for many terms of a big state.
-        """
-        key = (j, n)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        col = self.matrix[:, j]
-        out = []
-        for t in _compositions(n, len(col)):
-            amp = complex(math.factorial(n))
-            for k, tk in enumerate(t):
-                if tk:
-                    c = col[k]
-                    if c == 0:
-                        amp = 0j
-                        break
-                    amp = amp * c**tk / math.factorial(tk)
-            if amp != 0:
-                out.append((t, amp, float(abs(amp))))
-        self._cache[key] = out
-        return out
-
 
 def element_on(registry: ModeRegistry, labels, matrix, name: str = "element") -> LinearElement:
     """Bind a matrix to concrete registry modes, in the order given."""
@@ -87,51 +53,42 @@ def element_on(registry: ModeRegistry, labels, matrix, name: str = "element") ->
 
 
 def apply_element(state: AmplitudeState, element: LinearElement) -> AmplitudeState:
-    """Push a state through one element.
+    """Push a state of at most one photon per term on the element's modes
+    through one element.
 
-    Terms with no photons on the element's modes pass through untouched.
-    For the rest, each populated input mode is expanded multinomially and
-    the bosonic sqrt(n!) factors are restored at the end:
-
-        amp_out = amp_in / sqrt(prod n_j!) * prod_j [expansion_j]
-                  * sqrt(prod m_k!)
-
-    Each output amplitude is a sum of such products, the leaves. Next to
-    every partial and output amplitude runs the sum of its leaves'
-    magnitudes, and an output that cancels within the rounding of its
-    leaves (fock._cancels) is an exact zero and dropped.
+    A term with no photon on the element's modes passes through as it is.
+    A term whose photon enters input j leaves in each output k with its
+    amplitude times U[k, j], a zero entry leaving no term. Terms that meet
+    on one output add; next to each output runs the sum of its summands'
+    magnitudes, and an output that cancels within their rounding
+    (fock._cancels) is an exact zero and dropped. A term with two or more
+    photons on the element's modes raises ValueError.
     """
     idx = element.mode_indices
-    width = len(state.registry)
-    if idx and max(idx) >= width:
+    if idx and max(idx) >= len(state.registry):
         raise ValueError(f"{element.name}: mode index out of range for this registry")
-    # each output's amplitude and its leaves' summed magnitudes
+    # each output's amplitude and its summands' summed magnitudes
     out: dict = {}
     for occ, amp in state.terms.items():
-        ns = tuple(occ[i] for i in idx)
-        if not any(ns):
+        ns = [occ[i] for i in idx]
+        photons = sum(ns)
+        if not photons:
             out[occ] = (amp, abs(amp))
             continue
-        pref = amp / math.sqrt(math.prod(math.factorial(n) for n in ns))
-        partial = {(0,) * len(idx): (pref, abs(pref))}
-        for j, n in enumerate(ns):
-            if not n:
-                continue
-            nxt: dict = {}
-            for acc, (coef, mag) in partial.items():
-                for t, c, size_c in element._expansion(j, n):
-                    key = tuple(a + b for a, b in zip(acc, t))
-                    total, size = nxt.get(key, (0j, 0.0))
-                    nxt[key] = (total + coef * c, size + mag * size_c)
-            partial = nxt
+        if photons > 1:
+            raise ValueError(
+                f"{element.name}: {photons} photons on its modes, where it reads one"
+            )
+        j = ns.index(1)
         scratch = list(occ)
-        for m, (coef, mag) in partial.items():
-            for pos, i in enumerate(idx):
-                scratch[i] = m[pos]
-            key = tuple(scratch)
-            bosonic = math.sqrt(math.prod(math.factorial(mm) for mm in m))
-            total, size = out.get(key, (0j, 0.0))
-            out[key] = (total + coef * bosonic, size + mag * bosonic)
+        scratch[idx[j]] = 0
+        for i, u in zip(idx, element.matrix[:, j]):
+            if u:
+                scratch[i] = 1
+                key = tuple(scratch)
+                scratch[i] = 0
+                total, size = out.get(key, (0j, 0.0))
+                out[key] = (total + amp * u, size + abs(amp) * abs(u))
     return AmplitudeState(
         state.registry,
         {occ: a for occ, (a, size) in out.items() if not _cancels(a, size)},

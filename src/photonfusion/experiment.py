@@ -417,7 +417,8 @@ class _Branch:
         magnitudes): symmetric powers of the one-photon amplitudes and their
         magnitudes. At angle theta, column h takes the factor
         e^{-i theta (n - h)}. An entry that cancels within its leaves
-        (fock._cancels) is an exact zero, as apply_element drops it."""
+        (fock._cancels) is an exact zero, as in the multinomial engine that
+        _symmetric_power mirrors."""
         hit = self._analyzers.get(n)
         if hit is None:
             one = self.one_photon
@@ -575,9 +576,10 @@ def _symmetric_power(one: tuple, n: int) -> np.ndarray:
     The h H photons and the n - h V photons each split binomially between
     the outputs, so column h is the product of the two splits times the
     bosonic factor sqrt(p! (n-p)! / (h! (n-h)!)). The sum is evaluated
-    factor for factor as apply_element evaluates it, on Python complex
+    factor for factor as the multinomial Fock engine of the test oracle
+    (apply_multinomial in tests/oracles.py) evaluates it, on complex
     scalars, so the rounding left at the analyzer's exact interference
-    zeros is apply_element's. (numpy's vectorized complex product may fuse
+    zeros is that engine's. (numpy's vectorized complex product may fuse
     its multiply and add, which moves the last bit.) Fed the magnitudes of
     one, it sums the magnitudes of each entry's leaves instead.
     """
@@ -680,7 +682,7 @@ class _PatternSum:
     the occupation's on arm a. A weight's vector is its single keys' sum
     plus the real part of its turned pair keys'; an entry that cancels
     within the single keys' sum plus the pair keys' leaf magnitudes
-    (fock._cancels) is an exact zero, as apply_element drops it. No key,
+    (fock._cancels) is an exact zero, as an element drops it. No key,
     and so no vector, depends on which settings the plan holds.
     """
 

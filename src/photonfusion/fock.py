@@ -1,19 +1,20 @@
-"""Sparse Fock-space states over labeled bosonic modes.
+"""Labeled bosonic modes and sparse Fock-space states over them.
 
-States are dictionaries mapping occupation tuples to complex amplitudes.
-Everything here is exact up to float arithmetic: no sampling, no cutoff
-tricks beyond an explicit total-photon-number truncation that callers set
-when they build a state. Only exact zeros are dropped: sums that cancel
-within the rounding of their summands (_cancels), and zero products.
+A state is a dictionary mapping occupation tuples, one photon number per
+registry mode, to complex amplitudes. The library builds states only to
+read its optics one photon at a time (elements.apply_element), so a
+state here is a record: registry, terms and a photon-number cap, with
+no algebra. Norms, inner products, sums and the multinomial action of
+an element on many photons are the test suite's independent oracle
+(tests/oracles.py). The zero rule both share is here: only exact zeros
+are dropped, sums that cancel within the rounding of their summands
+(_cancels), and zero products.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
-
-NORM_TOL = 1e-12
 
 # c * u: a float's unit roundoff u = 2^-53 times c = 2^10, which bounds
 # the summed terms and the rounding steps behind each
@@ -67,9 +68,6 @@ class ModeRegistry:
     def __iter__(self) -> Iterator[ModeLabel]:
         return iter(self.labels)
 
-    def __contains__(self, label: ModeLabel) -> bool:
-        return label in self._index
-
 
 def registry_from(labels) -> ModeRegistry:
     return ModeRegistry(tuple(labels))
@@ -80,8 +78,8 @@ class AmplitudeState:
     """Superposition over occupation-number basis states of a registry.
 
     terms maps occupation tuples (one int per registry mode) to complex
-    amplitudes. States are value objects: every operation returns a new
-    instance. Exact zeros are dropped.
+    amplitudes, without exact zeros. States are value objects: an element
+    returns a new instance.
 
     truncation_order caps the total photon number. This is how the
     perturbative pair-source expansion is kept finite.
@@ -96,74 +94,3 @@ class AmplitudeState:
         for occ in self.terms:
             if len(occ) != nmodes:
                 raise ValueError("occupation length does not match registry")
-
-    # ---- Norms and inner products ----
-
-    def norm_sq(self) -> float:
-        return sum((a * a.conjugate()).real for a in self.terms.values())
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def inner(self, other: "AmplitudeState") -> complex:
-        """<self|other>. Conjugates self's amplitudes."""
-        if self.registry is not other.registry and self.registry != other.registry:
-            raise ValueError("inner product requires a shared registry")
-        if len(self.terms) > len(other.terms):
-            return other.inner(self).conjugate()
-        total = 0j
-        for occ, a in self.terms.items():
-            b = other.terms.get(occ)
-            if b is not None:
-                total += a.conjugate() * b
-        return total
-
-    def normalized(self) -> "AmplitudeState":
-        n = self.norm()
-        if n < NORM_TOL:
-            raise ValueError("cannot normalize a (near-)zero state")
-        return self.scaled(1.0 / n)
-
-    # ---- Algebra ----
-
-    def scaled(self, c: complex) -> "AmplitudeState":
-        return AmplitudeState(
-            self.registry,
-            _pruned({occ: c * a for occ, a in self.terms.items()}),
-            self.truncation_order,
-        )
-
-    def plus(self, other: "AmplitudeState") -> "AmplitudeState":
-        if self.registry != other.registry:
-            raise ValueError("cannot add states over different registries")
-        out = dict(self.terms)
-        for occ, b in other.terms.items():
-            a = out.get(occ, 0j)
-            out[occ] = 0j if _cancels(a + b, abs(a) + abs(b)) else a + b
-        return AmplitudeState(
-            self.registry, _pruned(out), min(self.truncation_order, other.truncation_order)
-        )
-
-    def __mul__(self, c) -> "AmplitudeState":
-        return self.scaled(c)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other) -> "AmplitudeState":
-        return self.plus(other)
-
-    # ---- Occupation structure ----
-
-    def photon_number_sectors(self) -> dict:
-        """Split terms by total photon number: {n: AmplitudeState}."""
-        buckets: dict = {}
-        for occ, a in self.terms.items():
-            buckets.setdefault(sum(occ), {})[occ] = a
-        return {
-            n: AmplitudeState(self.registry, t, self.truncation_order)
-            for n, t in sorted(buckets.items())
-        }
-
-
-def _pruned(terms: dict) -> dict:
-    return {occ: a for occ, a in terms.items() if a}

@@ -189,6 +189,11 @@ class CoincidenceHistogram:
         widths = {len(p.bits) for p in self.counts}
         if len(widths) > 1:
             raise ValueError("histogram mixes pattern widths")
+        # a pattern never mixes bases, so its first symbol names its basis
+        symbols = self.setting.symbols
+        for p in self.counts:
+            if p.bits[0] not in symbols:
+                raise ValueError(f"pattern {p.bits} is outside the {self.setting.label} basis")
         if not all(0 <= c < math.inf for c in self.counts.values()):
             raise ValueError("negative count")
         if not 0 < self.duration_s < math.inf:

@@ -6,6 +6,11 @@ over the source's four output modes (``sources.source_ensemble``), and
 applies only the analyzer, splitter and phase matrices; the routes here
 rebuild the same physics another way so the two can be compared:
 
+- the state algebra (norms, inner products, scaling, sums and
+  photon-number sectors) and the multinomial Fock engine
+  ``apply_multinomial``, which pushes any number of photons through an
+  element and which the library's one-photon ``apply_element`` and its
+  closed-form n-photon analyzer must reproduce;
 - raw creation operators on the vacuum, for the Fock inputs of element
   tests and the operator-expansion check of ``pdc_emit``;
 - tensor products and mode relabeling, which join the sources' states
@@ -19,7 +24,7 @@ rebuild the same physics another way so the two can be compared:
   and a balanced splitter for the two-photon dip;
 - the element-by-element detection engine: every member state pushed
   through the fusion, compensator and analyzer elements with
-  ``apply_element`` and reduced term by term, which the compiled fusion
+  ``apply_multinomial`` and reduced term by term, which the compiled fusion
   map and per-arm detection of ``experiment`` must reproduce;
 - the coincidence filter as a walk over H/V splits, photon counts per
   arm swapped splitter by splitter, which the arm-mask filter
@@ -31,10 +36,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 
 import numpy as np
 
-from photonfusion.elements import apply_element, element_on, pbs_matrix, phase_matrix
+from photonfusion.elements import element_on, pbs_matrix, phase_matrix
 from photonfusion.experiment import (
     _analyzer_elements,
     all_detection_patterns,
@@ -44,11 +50,180 @@ from photonfusion.fock import (
     AmplitudeState,
     ModeLabel,
     ModeRegistry,
-    _pruned,
+    _cancels,
     registry_from,
 )
 from photonfusion.sources import TAG_BROAD, TAG_NARROW, PdcSource
-from photonfusion.topology import admitted_patterns
+from photonfusion.topology import _compositions, admitted_patterns
+
+
+# ---- State algebra ----
+
+NORM_TOL = 1e-12
+
+
+def has_mode(registry: ModeRegistry, label: ModeLabel) -> bool:
+    return label in registry.labels
+
+
+def norm_sq(state: AmplitudeState) -> float:
+    return sum((a * a.conjugate()).real for a in state.terms.values())
+
+
+def norm(state: AmplitudeState) -> float:
+    return math.sqrt(norm_sq(state))
+
+
+def inner(bra: AmplitudeState, ket: AmplitudeState) -> complex:
+    """<bra|ket>. Conjugates bra's amplitudes."""
+    if bra.registry is not ket.registry and bra.registry != ket.registry:
+        raise ValueError("inner product requires a shared registry")
+    if len(bra.terms) > len(ket.terms):
+        return inner(ket, bra).conjugate()
+    total = 0j
+    for occ, a in bra.terms.items():
+        b = ket.terms.get(occ)
+        if b is not None:
+            total += a.conjugate() * b
+    return total
+
+
+def normalized(state: AmplitudeState) -> AmplitudeState:
+    n = norm(state)
+    if n < NORM_TOL:
+        raise ValueError("cannot normalize a (near-)zero state")
+    return scaled(state, 1.0 / n)
+
+
+def scaled(state: AmplitudeState, c: complex) -> AmplitudeState:
+    return AmplitudeState(
+        state.registry,
+        _pruned({occ: c * a for occ, a in state.terms.items()}),
+        state.truncation_order,
+    )
+
+
+def plus(first: AmplitudeState, second: AmplitudeState) -> AmplitudeState:
+    """The sum of two states; an amplitude that cancels within the rounding
+    of its two summands (fock._cancels) is an exact zero."""
+    if first.registry != second.registry:
+        raise ValueError("cannot add states over different registries")
+    out = dict(first.terms)
+    for occ, b in second.terms.items():
+        a = out.get(occ, 0j)
+        out[occ] = 0j if _cancels(a + b, abs(a) + abs(b)) else a + b
+    return AmplitudeState(
+        first.registry, _pruned(out), min(first.truncation_order, second.truncation_order)
+    )
+
+
+def photon_number_sectors(state: AmplitudeState) -> dict:
+    """Split terms by total photon number: {n: AmplitudeState}."""
+    buckets: dict = {}
+    for occ, a in state.terms.items():
+        buckets.setdefault(sum(occ), {})[occ] = a
+    return {
+        n: AmplitudeState(state.registry, t, state.truncation_order)
+        for n, t in sorted(buckets.items())
+    }
+
+
+def _pruned(terms: dict) -> dict:
+    return {occ: a for occ, a in terms.items() if a}
+
+
+# ---- The multinomial apply ----
+
+# per element, its expansions by (input, photon count); an element
+# compares by identity (LinearElement is eq=False), and its entry goes
+# with it
+_EXPANSIONS = weakref.WeakKeyDictionary()
+
+
+def _expansion(element, j: int, n: int):
+    """All ways to send n photons from input j into the outputs.
+
+    Returns [(counts_per_output, coefficient, its magnitude)], where the
+    coefficient is the multinomial weight n!/prod(t!) times
+    prod U[k, j]^t_k.
+    Cached per element instance; the same (input, count) pair shows up
+    for many terms of a big state.
+    """
+    cache = _EXPANSIONS.setdefault(element, {})
+    key = (j, n)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    col = element.matrix[:, j]
+    out = []
+    for t in _compositions(n, len(col)):
+        amp = complex(math.factorial(n))
+        for k, tk in enumerate(t):
+            if tk:
+                c = col[k]
+                if c == 0:
+                    amp = 0j
+                    break
+                amp = amp * c**tk / math.factorial(tk)
+        if amp != 0:
+            out.append((t, amp, float(abs(amp))))
+    cache[key] = out
+    return out
+
+
+def apply_multinomial(state: AmplitudeState, element) -> AmplitudeState:
+    """Push a state of any photon numbers through one element: the
+    reference for elements.apply_element, which moves one photon, and for
+    the closed-form n-photon analyzer of experiment._symmetric_power.
+
+    Terms with no photons on the element's modes pass through untouched.
+    For the rest, each populated input mode is expanded multinomially and
+    the bosonic sqrt(n!) factors are restored at the end:
+
+        amp_out = amp_in / sqrt(prod n_j!) * prod_j [expansion_j]
+                  * sqrt(prod m_k!)
+
+    Each output amplitude is a sum of such products, the leaves. Next to
+    every partial and output amplitude runs the sum of its leaves'
+    magnitudes, and an output that cancels within the rounding of its
+    leaves (fock._cancels) is an exact zero and dropped.
+    """
+    idx = element.mode_indices
+    width = len(state.registry)
+    if idx and max(idx) >= width:
+        raise ValueError(f"{element.name}: mode index out of range for this registry")
+    # each output's amplitude and its leaves' summed magnitudes
+    out: dict = {}
+    for occ, amp in state.terms.items():
+        ns = tuple(occ[i] for i in idx)
+        if not any(ns):
+            out[occ] = (amp, abs(amp))
+            continue
+        pref = amp / math.sqrt(math.prod(math.factorial(n) for n in ns))
+        partial = {(0,) * len(idx): (pref, abs(pref))}
+        for j, n in enumerate(ns):
+            if not n:
+                continue
+            nxt: dict = {}
+            for acc, (coef, mag) in partial.items():
+                for t, c, size_c in _expansion(element, j, n):
+                    key = tuple(a + b for a, b in zip(acc, t))
+                    total, size = nxt.get(key, (0j, 0.0))
+                    nxt[key] = (total + coef * c, size + mag * size_c)
+            partial = nxt
+        scratch = list(occ)
+        for m, (coef, mag) in partial.items():
+            for pos, i in enumerate(idx):
+                scratch[i] = m[pos]
+            key = tuple(scratch)
+            bosonic = math.sqrt(math.prod(math.factorial(mm) for mm in m))
+            total, size = out.get(key, (0j, 0.0))
+            out[key] = (total + coef * bosonic, size + mag * bosonic)
+    return AmplitudeState(
+        state.registry,
+        {occ: a for occ, (a, size) in out.items() if not _cancels(a, size)},
+        state.truncation_order,
+    )
 
 
 # ---- Creation operators ----
@@ -86,7 +261,7 @@ def apply_pair_creation(
     return apply_creation(apply_creation(state, first), second, coeff)
 
 
-# ---- Fock algebra ----
+# ---- Tensor products and relabeling ----
 
 
 def tensor_product(
@@ -156,7 +331,7 @@ def map_modes(
 
 def apply_all(state: AmplitudeState, elements) -> AmplitudeState:
     for el in elements:
-        state = apply_element(state, el)
+        state = apply_multinomial(state, el)
     return state
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import apply_all
+from oracles import apply_all, inner
 from photonfusion.analysis import (
     ObservableResult,
     PopulationSummary,
@@ -331,7 +331,7 @@ def test_criterion_7_testbed_oracle():
             amps /= np.linalg.norm(amps)
             components.append((weight, qubit_sector_state(dict(zip(basis, amps)))))
         overlap = sum(
-            w * abs(ghz.inner(state)) ** 2 for w, state in components
+            w * abs(inner(ghz, state)) ** 2 for w, state in components
         )
         hists = []
         for theta, setting in [(None, hv_setting())] + [

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import apply_all
+from oracles import apply_all, inner
 from photonfusion.analysis import (
     ObservableResult,
     fidelity_witness,
@@ -384,7 +384,7 @@ def test_three_arm_witness_matches_overlap_oracle():
     for _ in range(50):
         components = random_components(rng)
         oracle = sum(
-            w * abs(GHZ3.inner(state)) ** 2 for w, state in components
+            w * abs(inner(GHZ3, state)) ** 2 for w, state in components
         )
         report = witness_from_histograms(witness_histograms_for(components))
         assert abs(report.fidelity.value - oracle) < 1e-10

@@ -1,5 +1,7 @@
+import dataclasses
+
 import photonfusion
-from photonfusion import fock
+from photonfusion import elements, fock
 
 WORKFLOW_API = (
     "Apparatus",
@@ -46,6 +48,18 @@ def test_fock_keeps_no_test_only_algebra():
     # (tests/oracles.py); the simulator joins sources through compiled images
     assert not hasattr(fock, "tensor_product")
     assert not hasattr(fock, "map_modes")
+    # so are the state algebra and the multinomial engine: the library
+    # reads its optics one photon at a time
+    for name in ("norm_sq", "norm", "inner", "normalized", "scaled", "plus", "__add__",
+                 "__mul__", "__rmul__", "photon_number_sectors"):
+        assert not hasattr(fock.AmplitudeState, name), name
+    assert not hasattr(fock, "NORM_TOL") and not hasattr(fock, "_pruned")
+    assert "__contains__" not in vars(fock.ModeRegistry)
+    assert not hasattr(elements.LinearElement, "_expansion")
+    assert [f.name for f in dataclasses.fields(elements.LinearElement)] == [
+        "name", "mode_indices", "matrix"
+    ]
+    assert not hasattr(elements, "_compositions")
 
 
 def test_package_exports_exactly_the_workflow_api():

@@ -409,6 +409,11 @@ def test_analyze_corrupt_histogram(tmp_path, capsys):
     (out / "k4.csv").write_text("\n".join(lines) + "\n")
     assert main(["analyze", str(out), "--config", str(config)]) == 3
     assert "k4.csv" in capsys.readouterr().err
+    # so is a row outside its header's basis
+    assert main(["simulate", "--config", str(config)]) == 0
+    (out / "HV.csv").write_text("HV,1.0,0\n++++,5\n----,7\n")
+    assert main(["analyze", str(out), "--config", str(config)]) == 3
+    assert "HV.csv" in capsys.readouterr().err
 
 
 def test_exact_pipeline_closes_at_unit_fidelity(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    apply_multinomial,
     arm_groups,
     beamsplitter_matrix,
     coincidence_support,
@@ -235,7 +236,7 @@ def probe_compensator_phase(apparatus):
     registry = apparatus.plain_registry
     probe = map_modes(probe, registry, lambda lab: lab)
     for el in apparatus.fusion_elements:
-        probe = apply_element(probe, el)
+        probe = apply_multinomial(probe, el)
     all_h = [0] * len(registry)
     all_v = [0] * len(registry)
     for arm in apparatus.output_arms:
@@ -1155,7 +1156,7 @@ def test_tiny_detector_efficiency_scales_as_its_power(ideal_star):
 
 
 @pytest.mark.parametrize("marked", [False, True], ids=["interfering", "distinguishable"])
-def test_closed_form_analyzer_matches_apply_element(marked):
+def test_closed_form_analyzer_matches_the_multinomial_oracle(marked):
     # every photon number up to 14 at every k*pi/8 and three generic angles:
     # the analyzer at angle theta is the one at angle 0 with column h
     # turned by e^{-i theta (n - h)}, the phase theta puts on n - h V photons
@@ -1170,7 +1171,7 @@ def test_closed_form_analyzer_matches_apply_element(marked):
             for h in range(n + 1):
                 occ = (h, n - h) + (0,) * (len(branch.registry) - 2)
                 state = AmplitudeState(branch.registry, {occ: 1.0 + 0j}, n)
-                for out, a in apply_element(state, element).terms.items():
+                for out, a in apply_multinomial(state, element).terms.items():
                     expected[out[0], h] = a
             turn = np.exp(-1j * theta * (n - np.arange(n + 1)))
             got = branch.analyzed(n)[0] * turn

@@ -59,6 +59,24 @@ def test_histogram_lines_round_trip(hist):
     assert histogram_to_lines(back) == lines
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # read as HV, populations gave all-H, all-V and combined 0.0 +- 0.0
+        ["HV,1.0,0", "++++++++,5", "--------,7", "+-+-+-+-,1"],
+        # read as k0, every row had parity +1 and m_k_expectation 1.0 +- 0.0
+        ["k0,1.0,0", "HHHHHHHV,5", "VVVVVVVH,7"],
+    ],
+)
+def test_rows_outside_the_header_basis_are_refused(lines):
+    with pytest.raises(ValueError, match="outside the"):
+        histogram_from_lines(lines)
+    setting = hv_setting() if lines[0].startswith("HV") else k_setting(0)
+    counts = {DetectionPattern(row.split(",")[0]): 1 for row in lines[1:]}
+    with pytest.raises(ValueError, match="outside the"):
+        CoincidenceHistogram(setting, counts, 1.0, 0)
+
+
 def test_one_object_per_pattern():
     pat = DetectionPattern("HVHVHV")
     assert DetectionPattern("HVHVHV") is pat

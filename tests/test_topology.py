@@ -9,8 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import admits_by_splits, emission_sector, map_modes, tensor_product
-from photonfusion.elements import apply_element, element_on, pbs_matrix
+from oracles import (
+    admits_by_splits,
+    apply_multinomial,
+    emission_sector,
+    map_modes,
+    tensor_product,
+)
+from photonfusion.elements import element_on, pbs_matrix
 from photonfusion.fock import ModeLabel, registry_from
 from photonfusion.sources import TAG_BROAD, TAG_NARROW, PdcSource
 from photonfusion.topology import (
@@ -127,7 +133,7 @@ def fused_pattern_support(topology, counts) -> bool:
     )
     for x, y in topology.fusion_edges:
         labels = [ModeLabel(a, pol, "") for a in (x, y) for pol in ("H", "V")]
-        state = apply_element(
+        state = apply_multinomial(
             state, element_on(plain, labels, pbs_matrix(), f"fuse-{x}-{y}")
         )
     groups = [
