@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 from .topology import (
     SHAPES,
     FusionTopology,
+    _is_integer,
     chain_topology,
     single_source_topology,
     star_topology,
@@ -166,11 +167,6 @@ def _take(data: dict, where: str, cls, problems: list) -> dict:
 
 def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    """The integer rule of every integer field: an int, and not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _number(data, key, where, problems, default, lo, hi):

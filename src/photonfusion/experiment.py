@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import MAX_TRUNCATION, ExperimentConfig, _is_integer, config_topology, leading_underflow
+from .config import MAX_TRUNCATION, ExperimentConfig, config_topology, leading_underflow
 from .elements import (
     UNITARITY_TOL,
     analyzer_matrix,
@@ -76,6 +76,7 @@ from .records import (
 from .sources import PdcSource, source_ensemble, source_mode_labels
 from .topology import (
     FusionTopology,
+    _is_integer,
     admitted_patterns,
     single_source_topology,
     star_topology,
@@ -662,28 +663,29 @@ class _PatternSum:
     amplitudes a_t and analyzed amplitudes psi_t adds |sum_t a_t psi_t|^2 =
     sum_t |a_t psi_t|^2 + sum_{t<t'} 2 Re(a_t conj(a_t') psi_t conj(psi_t'))
     times the firing probabilities, each product factorizing over arms. So
-    add sums each term into a single key (branch, occupation, |amplitude|)
-    and each pair of a class's terms into a pair key (branch, occupation
-    and partner occupation arm by arm, a_t conj(a_t')), both holding summed
-    weights. HV mixes nothing and reads single keys alone, from its own
-    tally over all members: HV detection is diagonal in occupation, so
-    each arm's row is the firing probabilities of the key's own photons
-    there. The rotated keys are tallied per member weight, a product of
-    overlaps, and the zero rule below runs weight by weight: where the
-    members of one weight cancel exactly, those of any other weight,
-    however small, still add their exact share.
+    add sums each term's weight into a single key (branch, occupation,
+    |amplitude|), a term paired with itself, and, for a plan with a rotated
+    setting, each pair of a class's terms into a pair key (branch,
+    occupation and partner occupation arm by arm, a_t conj(a_t')). Every
+    key is numbered once, in first-seen order (keys), and summed in one
+    tally per member weight, a product of overlaps.
 
-    A rotated key's firing profile is the product of its arms' rows under
-    the analyzers at angle 0, read from one table per plan (_table). An
-    analyzer at angle theta is the one at angle 0 behind a phase
-    e^{-i theta} on V (elements.analyzer_matrix), so a single key's rows
-    are the same at every angle, and a setting turns a pair key's profile
-    by e^{-i sum_a theta_a delta_a}, delta_a the partner's H count minus
-    the occupation's on arm a. A weight's vector is its single keys' sum
-    plus the real part of its turned pair keys'; an entry that cancels
-    within the single keys' sum plus the pair keys' leaf magnitudes
-    (fock._cancels) is an exact zero, as an element drops it. No key,
-    and so no vector, depends on which settings the plan holds.
+    A key's firing profile is the product of its arms' rows, read from one
+    table per plan and analyzer (_table): the identity for HV, which keeps
+    each photon's polarization, and the analyzer at angle 0 for every
+    rotated setting. An analyzer at angle theta is the one at angle 0
+    behind a phase e^{-i theta} on V (elements.analyzer_matrix), so a
+    single key's rows are the same at every angle, and a setting turns a
+    pair key's profile by e^{-i sum_a theta_a delta_a}, delta_a the
+    partner's H count minus the occupation's on arm a. HV reads the single
+    keys alone, summed over member weights: under the identity a pair
+    key's profile is zero. A rotated setting reads every key, weight by
+    weight, so that the zero rule runs per weight: an entry that cancels
+    within the keys' leaf magnitudes (fock._cancels) is an exact zero, as
+    an element drops it, and where the members of one weight cancel
+    exactly, those of any other weight, however small, still add their
+    exact share. No key, and so no vector, depends on which settings the
+    plan holds.
     """
 
     def __init__(self, n_arms: int, settings, members):
@@ -691,19 +693,18 @@ class _PatternSum:
         self.settings = settings = list(settings)
         self.rotated = [s.angles for s in settings if s.angles is not None]
         self.hv = len(self.rotated) < len(settings)
-        self.terms: dict = {}
-        self.singles: dict = {}
-        self.pairs: dict = {}
+        self.keys: dict = {}
+        self.tally: dict = {}
         for member in members:
             self.add(*member)
 
     def add(self, weight: float, supported, branch: _Branch) -> None:
-        if self.hv:
-            _tally(self.terms, branch, weight, supported)
+        keys, tally = self.keys, self.tally.setdefault(weight, {})
+        for occ, amp in supported:
+            i = keys.setdefault((branch, occ, abs(amp)), len(keys))
+            tally[i] = tally.get(i, 0.0) + weight
         if not self.rotated:
             return
-        _tally(self.singles.setdefault(weight, {}), branch, weight, supported)
-        pairs = self.pairs.setdefault(weight, {})
         classes: dict = {}
         for term in supported:
             classes.setdefault(branch.photons(term[0]), []).append(term)
@@ -712,87 +713,83 @@ class _PatternSum:
             for (occ, a), (other, b) in itertools.combinations(terms, 2):
                 arms = range(0, len(occ), w)
                 both = b"".join(occ[s : s + w] + other[s : s + w] for s in arms)
-                key = (branch, both, a * b.conjugate())
-                pairs[key] = pairs.get(key, 0.0) + weight
+                i = keys.setdefault((branch, both, a * b.conjugate()), len(keys))
+                tally[i] = tally.get(i, 0.0) + weight
 
     def vectors(self) -> list:
         """One vector per setting, in order; HV settings share theirs."""
-        weights = list(self.singles)
-        single_keys, sums = _stacked(self.singles, weights)
-        pair_keys, pair_sums = _stacked(self.pairs, weights)
-        slices: dict = {}
-        hv_index, single_index, pair_index = [
-            _arm_index(slices, keys, self.n_arms)
-            for keys in (self.terms, single_keys, pair_keys)
-        ]
-        hv_rows, rows, leaves, deltas = self._table(list(slices))
+        keys = list(self.keys)
+        # (member weights, keys): each key's summed weights
+        sums = np.zeros((len(self.tally), len(keys)))
+        for row, tally in zip(sums, self.tally.values()):
+            row[list(tally)] = list(tally.values())
+        slices, index = _arm_index(keys, self.n_arms)
+        hv_rows, rows, leaves, deltas = self._table(slices)
+        single = np.fromiter((len(k[1]) == len(k[0].registry) for k in keys), bool, len(keys))
+        # a single key's |a| squared, a pair key's 2 a conj(a')
+        factors = np.array([c * c if s else 2 * c for (_, _, c), s in zip(keys, single)])
         hv = None
         if self.hv:
-            amps = np.array([amp for _, _, amp in self.terms])
-            sums_hv = np.fromiter(self.terms.values(), float, len(amps)) * amps**2
-            hv = _expand(hv_rows, hv_index, sums_hv)
+            coefs = sums[:, single].sum(axis=0) * factors[single].real
+            hv = _expand(hv_rows, index[single], coefs)
         rotated = iter(())
         if self.rotated:
-            # (weights, 2^n), then (settings, weights, 2^n)
-            amps = np.array([amp for _, _, amp in single_keys])
-            singles = _expand(rows, single_index, sums * amps**2)
-            coefs = 2 * pair_sums * np.array([product for _, _, product in pair_keys])
-            scale = singles + _expand(leaves, pair_index, abs(coefs))
-            # (settings, pair keys): the angle each setting turns a pair key
-            # by, summed arm by arm so that no setting's bits depend on the
-            # others
-            turn = sum(map(np.multiply.outer, np.array(self.rotated).T, deltas[pair_index].T))
-            phase = np.exp(-1j * turn)
-            vectors = singles + _expand(rows, pair_index, (phase[:, None] * coefs).real)
-            vectors[_cancels(vectors, scale)] = 0.0
+            coefs = sums * factors
+            # (settings, keys): the angle each setting turns a key by,
+            # summed arm by arm so that no setting's bits depend on the
+            # others; then (settings, weights, 2^n)
+            turn = sum(map(np.multiply.outer, np.array(self.rotated).T, deltas[index].T))
+            vectors = _expand(rows, index, coefs, np.exp(-1j * turn))
+            vectors[_cancels(vectors, _expand(leaves, index, abs(coefs)))] = 0.0
             rotated = iter(vectors.sum(axis=1))
         return [hv if s.angles is None else next(rotated) for s in self.settings]
 
     def _table(self, slices: list) -> tuple:
-        """(hv, rows, leaves, deltas) per arm slice, (branch, the slice's
+        """(hv, rows, leaves, deltas) per arm slice: (branch, the slice's
         bytes, then its partner's for a pair key's slice; a single key's
         slice is its own partner), each row a real (first, second) pair.
-        hv is a single key's slice's HV row: the firing probabilities of
-        its slots' photons (_Branch.weights at output p = h, h the slots' H
-        counts). A row sums, over the outputs p of the occupied slots,
-        prod_s U[p_s, h_s] U[p_s, h'_s] times p's firing probabilities: U is
-        the slot's analyzer at angle 0 (_Branch.analyzed), h and h' the
-        slots' H counts in the occupation and its partner. leaves is the
-        same sum over the analyzers' leaf magnitudes for a pair key's slice,
-        and delta its partner's H count minus the occupation's (0 for a
-        single key's slice). Each is built only for a plan that reads it,
-        so a plan without a rotated setting reads no analyzer. Array operations per (branch, photon numbers
-        of the occupied slots, single or pair) build the rows."""
+
+        One formula builds every row: over the outputs p of the occupied
+        slots, the sum of prod_s U[p_s, h_s] U[p_s, h'_s] times p's firing
+        probabilities (_Branch.weights), h and h' the slots' H counts in
+        the occupation and its partner. U is the identity for hv, whose
+        rows are so the firing probabilities of the slots' own photons; for
+        rows, the slot's analyzer at angle 0, and for leaves, the sums of its
+        entries' leaf magnitudes (_Branch.analyzed). delta is the
+        partner's H count minus the occupation's. A table is built only
+        for a plan that reads it, so a plan without a rotated setting reads
+        no analyzer. Array operations per (branch, photon numbers of the
+        occupied slots) build the rows."""
         groups: dict = {}
         deltas = np.zeros(len(slices), dtype=np.intp)
         for i, (branch, arm) in enumerate(slices):
-            arm, other = arm[: branch.width], arm[branch.width :]
+            arm, other = arm[: branch.width], arm[branch.width :] or arm
             slots = [s for s in range(0, len(arm), 2) if arm[s] + arm[s + 1]]
             ns = tuple(arm[s] + arm[s + 1] for s in slots)
-            at, hs = groups.setdefault((branch, ns, not other), ([], []))
+            at, hs = groups.setdefault((branch, ns), ([], []))
             at.append(i)
-            hs.append([arm[s] for s in slots] + [other[s] for s in slots if other])
-            if other:
-                deltas[i] = sum(other[0::2]) - sum(arm[0::2])
-        hv, rows, leaves = np.zeros((3, len(slices), 2))
-        for (branch, ns, single), (at, hs) in groups.items():
-            # the slots' H counts in the occupation, then in its partner
-            hs = np.array(hs, dtype=np.intp).reshape(len(at), -1)
+            hs.append([arm[s] for s in slots] + [other[s] for s in slots])
+            deltas[i] = sum(other[0::2]) - sum(arm[0::2])
+        tables = np.zeros((3, len(slices), 2))
+        for (branch, ns), (at, hs) in groups.items():
+            # (slots, slices): the H counts in each occupation and its partner
+            hs, partners = np.array(hs, dtype=np.intp).reshape(len(at), 2, -1).transpose(1, 2, 0)
             weights = branch.weights(ns)
-            if single and self.hv:
-                hv[at] = weights[np.ravel_multi_index(tuple(hs.T), [n + 1 for n in ns])]
-            if not self.rotated:
-                continue
-            partners = hs if single else hs[:, len(ns) :]
-            slots = list(zip([branch.analyzed(n) for n in ns], hs.T, partners.T))
-            # (slices, joint outputs), the first slot slowest, each summed
-            # along its row: no row depends on the plan's other slices
-            product = functools.reduce(_outer, [u.T[h] * u.T[p] for (u, _), h, p in slots])
-            rows[at] = (product[:, None, :] * weights.T).sum(axis=-1)
-            if not single:
-                leaf = functools.reduce(_outer, [s.T[h] * s.T[p] for (_, s), h, p in slots])
-                leaves[at] = (leaf[:, None, :] * weights.T).sum(axis=-1)
-        return hv, rows, leaves, deltas
+            us = [
+                [np.eye(n + 1) for n in ns] if self.hv else None,
+                [branch.analyzed(n)[0] for n in ns] if self.rotated else None,
+                [branch.analyzed(n)[1] for n in ns] if self.rotated else None,
+            ]
+            for table, u in zip(tables, us):
+                if u is not None:
+                    # (slices, joint outputs), the first slot slowest, each
+                    # summed along its row: no row depends on the plan's
+                    # other slices
+                    product = functools.reduce(
+                        _outer, [m.T[h] * m.T[p] for m, h, p in zip(u, hs, partners)]
+                    )
+                    table[at] = (product[:, None, :] * weights.T).sum(axis=-1)
+        return (*tables, deltas)
 
 
 def _outer(product: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -800,47 +797,40 @@ def _outer(product: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return (product[..., None] * factor[..., None, :]).reshape(*product.shape[:-1], -1)
 
 
-def _tally(sums: dict, branch: _Branch, weight: float, terms) -> None:
-    for occ, amp in terms:
-        key = (branch, occ, abs(amp))
-        sums[key] = sums.get(key, 0.0) + weight
-
-
-def _stacked(tallies: dict, weights: list) -> tuple:
-    """The keys of per-weight tallies, in first-seen order, and their
-    summed weights, shape (weights, keys)."""
-    keys = list(dict.fromkeys(key for tally in tallies.values() for key in tally))
-    index = {key: i for i, key in enumerate(keys)}
-    sums = np.zeros((len(weights), len(keys)))
-    for row, weight in zip(sums, weights):
-        row[[index[key] for key in tallies[weight]]] = list(tallies[weight].values())
-    return keys, sums
-
-
-def _arm_index(slices: dict, keys, n_arms: int) -> np.ndarray:
-    """(keys, arms): the index in slices of each key's arm slices, (branch,
-    the key's bytes on the arm), new slices added in order."""
+def _arm_index(keys, n_arms: int) -> tuple:
+    """The keys' arm slices, (branch, the key's bytes on the arm), in
+    first-seen order, and (keys, arms): the index among them of each key's
+    slice on each arm."""
+    slices: dict = {}
     index = []
     for branch, occ, _ in keys:
         w = len(occ) // n_arms
         arms = range(0, len(occ), w)
         index.append([slices.setdefault((branch, occ[s : s + w]), len(slices)) for s in arms])
-    return np.array(index, dtype=np.intp).reshape(len(keys), n_arms)
+    return list(slices), np.array(index, dtype=np.intp).reshape(len(keys), n_arms)
 
 
-def _expand(table, index, weights) -> np.ndarray:
-    """The weighted sums of the keys' profiles, weights (..., keys) into
-    pattern vectors (..., 2^n) with the first arm varying fastest, a block
-    of keys at a time. A key's profile is the product of its arm rows,
-    table[index[key, a]] on arm a."""
+def _expand(table, index, coefs, phase=None) -> np.ndarray:
+    """The coefficient-weighted sums of the keys' profiles, coefs (...,
+    keys) into pattern vectors (..., 2^n) with the first arm varying
+    fastest, a block of keys at a time. A key's profile is the product of
+    its arm rows, table[index[key, a]] on arm a. With phase (settings,
+    keys), each setting weights a key by the real part of its turned
+    coefficient, phase times coefs, formed one block at a time: (settings,
+    ..., 2^n)."""
     n_keys, n_arms = index.shape
-    out = np.zeros(weights.shape[:-1] + (2**n_arms,))
+    lead = coefs.shape[:-1] if phase is None else (len(phase), *coefs.shape[:-1])
+    out = np.zeros(lead + (2**n_arms,))
     for start in range(0, n_keys, _PROFILE_BLOCK):
-        block = table[index[start : start + _PROFILE_BLOCK]]
-        prob = np.ones((len(block), 1))
+        block = slice(start, start + _PROFILE_BLOCK)
+        rows = table[index[block]]
+        prob = np.ones((len(rows), 1))
         for a in reversed(range(n_arms)):
-            prob = _outer(prob, block[:, a])
-        out += weights[..., start : start + _PROFILE_BLOCK] @ prob
+            prob = _outer(prob, rows[:, a])
+        weights = coefs[..., block]
+        if phase is not None:
+            weights = (phase[:, None, block] * weights).real
+        out += weights @ prob
     return out
 
 
@@ -939,9 +929,11 @@ def emission_pattern_probability(apparatus: Apparatus, pairs_per_source) -> floa
     image, show to miss an arm, so the result is an independent check on
     admitted_patterns.
     """
-    counts = tuple(int(n) for n in pairs_per_source)
+    counts = tuple(pairs_per_source)
     if len(counts) != len(apparatus.sources):
         raise ValueError("pattern length does not match the source count")
+    if not all(map(_is_integer, counts)):
+        raise ValueError(f"pair counts must be integers, not {counts!r}")
     if any(n < 0 for n in counts):
         raise ValueError("negative pair count")
     if sum(counts) > apparatus.truncation_pairs:

@@ -142,6 +142,11 @@ def single_source_topology() -> FusionTopology:
 # ---- Emission patterns ----
 
 
+def _is_integer(value) -> bool:
+    """The integer rule of every integer input: an int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EmissionPattern:
     """How many pairs each source contributed in a single pulse."""
@@ -151,7 +156,7 @@ class EmissionPattern:
     def __post_init__(self):
         counts = tuple(self.pairs_per_source)
         object.__setattr__(self, "pairs_per_source", counts)
-        if any((not isinstance(n, int)) or n < 0 for n in counts):
+        if any(not _is_integer(n) or n < 0 for n in counts):
             raise ValueError("pair counts must be non-negative integers")
 
     @property
@@ -295,7 +300,7 @@ def n_fold_rate(
         raise ValueError("pair_probability and efficiency must lie in [0, 1]")
     if not 0.0 < repetition_rate_hz < math.inf:
         raise ValueError("repetition rate must be positive and finite")
-    if not isinstance(n_pairs, int) or n_pairs < 1:
+    if not _is_integer(n_pairs) or n_pairs < 1:
         raise ValueError("n_pairs must be a positive integer")
     if not 0.0 < success_factor <= 1.0:
         raise ValueError("success_factor must lie in (0, 1]")

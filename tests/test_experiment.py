@@ -966,6 +966,10 @@ def test_emission_pattern_probability_validation(ideal_star):
         emission_pattern_probability(ideal_star, (1, 1, 1, -1))
     with pytest.raises(ValueError, match="truncation"):
         emission_pattern_probability(ideal_star, (2, 1, 1, 1))
+    # a pair count is an int and not a bool, never truncated to one
+    for counts in ((1.7, 1, 1, 1), (True, 1, 1, 1), (1.0, 1, 1, 1)):
+        with pytest.raises(ValueError, match="integers"):
+            emission_pattern_probability(ideal_star, counts)
 
 
 def test_single_pattern_carries_the_whole_ideal_rate(ideal_star):
@@ -1211,11 +1215,14 @@ def test_plan_builds_the_same_pair_keys_and_one_row_table(monkeypatch):
     table = experiment._PatternSum._table
 
     def counted(self, slices):
+        keys = list(self.keys)
         tables.append(
             {
-                (weight, key[0].marked, key[1:]): summed
-                for weight, pairs in self.pairs.items()
-                for key, summed in pairs.items()
+                (weight, keys[i][0].marked, keys[i][1:]): summed
+                for weight, tally in self.tally.items()
+                for i, summed in tally.items()
+                # a pair key holds an occupation and its partner's
+                if len(keys[i][1]) == 2 * len(keys[i][0].registry)
             }
         )
         return table(self, slices)
@@ -1229,6 +1236,20 @@ def test_plan_builds_the_same_pair_keys_and_one_row_table(monkeypatch):
     absolute_outcome_distributions(dataclasses.replace(base), plan)
     assert len(tables) == 2
     assert tables[1] == tables[0]
+
+
+def test_each_setting_reads_alone_as_in_its_plan():
+    # default star at truncation 6, where multi-pair terms make pair keys:
+    # HV and each k-setting computed alone equal, bit for bit, the same
+    # setting in the nine-setting plan, so no key, row or block of keys a
+    # setting reads depends on the plan's other settings
+    base = dataclasses.replace(build_apparatus(default_config()), truncation_pairs=6)
+    plan = [setting_from_label(label) for label in default_config().run.settings]
+    together = absolute_outcome_distributions(dataclasses.replace(base), plan)
+    for setting, in_plan in zip(plan, together):
+        alone = absolute_outcome_distribution(dataclasses.replace(base), setting)
+        assert list(alone) == list(in_plan)
+        assert [v.hex() for v in alone.values()] == [v.hex() for v in in_plan.values()]
 
 
 def test_unequal_slots_of_one_arm_match_the_element_oracle():

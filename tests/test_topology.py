@@ -98,6 +98,8 @@ def test_emission_pattern_validation():
         EmissionPattern((1, -1))
     with pytest.raises(ValueError):
         EmissionPattern((1.0, 1))
+    with pytest.raises(ValueError):
+        EmissionPattern((True, 1))
 
 
 # ---- Exact Fock oracle for the counting rules ----
@@ -381,6 +383,9 @@ def test_rate_validation():
         n_fold_rate(0.1, 0.2, 0.0)
     with pytest.raises(ValueError):
         n_fold_rate(0.1, 0.2, 1e6, n_pairs=0)
+    for n_pairs in (True, 2.0):
+        with pytest.raises(ValueError, match="n_pairs"):
+            n_fold_rate(0.1, 0.2, 1e6, n_pairs=n_pairs)
     with pytest.raises(ValueError):
         n_fold_rate(0.1, 0.2, 1e6, success_factor=0.0)
     with pytest.raises(ValueError):
